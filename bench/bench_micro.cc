@@ -291,6 +291,27 @@ BM_EngineEventLoopStep(benchmark::State &state)
 BENCHMARK(BM_EngineEventLoopStep)->Arg(16)->Arg(64);
 
 /**
+ * One full AIME request at 64 beams with speculation on: the
+ * edge_single_user shape, where refilling idle decode slots with
+ * speculative branches on every event wave dominates host time.
+ */
+void
+BM_GenerationPhaseWideBeam(benchmark::State &state)
+{
+    const DeviceSpec device = deviceByName("RTX4090").value();
+    const DatasetProfile dataset = datasetByName("AIME").value();
+    const ModelConfig models = modelConfigByLabel("1.5B+1.5B").value();
+    const auto algorithm = makeAlgorithm("beam_search", 64).value();
+    const std::vector<Problem> problems = makeProblems(dataset, 1, 7);
+    FastTtsEngine engine(FastTtsConfig::fastTts(), models, device, dataset,
+                         *algorithm);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(engine.runRequest(problems[0]));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GenerationPhaseWideBeam)->Unit(benchmark::kMillisecond);
+
+/**
  * Greedy prefix-aware order() over a wide beam set with deep shared
  * paths. One ancestor map per scheduled anchor (O(n depth) builds)
  * instead of one per candidate pair (O(n^2 depth)).

@@ -248,6 +248,23 @@ runBenchmark(const BenchSpec &spec, bool quick, uint64_t seed)
 }
 
 /**
+ * Decode tokens the online arms of the benchmark running on this
+ * thread have simulated. The online documents carry no token totals,
+ * so the harness reads this instead (reset per benchmark).
+ */
+thread_local long tOnlineArmTokens = 0;
+
+/** Serve one online arm and add the tokens it decoded — of completed,
+ *  shed, failed and retried requests alike — to tOnlineArmTokens. */
+OnlineTraceResult
+serveArm(OnlineServer &server, const std::vector<OnlineRequest> &requests)
+{
+    OnlineTraceResult out = server.serveRequests(requests).value();
+    tOnlineArmTokens += server.system().tokensDecoded();
+    return out;
+}
+
+/**
  * The admission-policy benchmark is not BenchSpec-shaped: it measures
  * the online queueing front-end (OnlineServer) across queue policies
  * on one identical heavy-tailed arrival trace, instead of batch
@@ -304,7 +321,7 @@ runOnlineSchedulingBenchmark(bool quick, uint64_t seed)
         OnlineServer server =
             OnlineServer::create(opts, online).value();
         const OnlineTraceResult out =
-            server.serveRequests(calibrated.requests).value();
+            serveArm(server, calibrated.requests);
 
         Json latency = Json::object();
         latency.set("mean", out.meanLatency);
@@ -352,7 +369,7 @@ measurePreemptionRun(const ServingOptions &opts,
     online.shedDoomed = true;
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
+        serveArm(server, calibrated.requests);
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -478,7 +495,7 @@ measureBatchingRun(const ServingOptions &opts,
     online.maxBatchedTokens = max_batched_tokens;
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
+        serveArm(server, calibrated.requests);
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -612,7 +629,7 @@ measurePrefixReuseRun(const ServingOptions &opts,
     online.prefixCache = prefix_cache;
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
-        server.serveRequests(requests).value();
+        serveArm(server, requests);
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -778,7 +795,7 @@ measureFaultToleranceRun(const ServingOptions &opts,
     }
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
+        serveArm(server, calibrated.requests);
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -946,7 +963,7 @@ measureKvTieringRun(const ServingOptions &opts,
     online.victimSelect = victim_select;
     OnlineServer server = OnlineServer::create(opts, online).value();
     const OnlineTraceResult out =
-        server.serveRequests(calibrated.requests).value();
+        serveArm(server, calibrated.requests);
 
     Json latency = Json::object();
     latency.set("mean", out.meanLatency);
@@ -1109,8 +1126,9 @@ struct HarnessSample
     long simulatedTokens = 0;
 };
 
-/** Simulated tokens generated by one benchmark, read back from its
- *  emitted document (0 for documents without token counts). */
+/** Simulated tokens generated by a figure benchmark, read back from
+ *  its emitted document (0 for the online documents, which carry no
+ *  token counts; their arms are counted by serveArm()). */
 long
 simulatedTokensOf(const Json &doc)
 {
@@ -1313,6 +1331,7 @@ runnerMain(int argc, char **argv)
                  i = nextTask.fetch_add(1)) {
                 const RunEntry &entry = toRun[i];
                 const auto start = Clock::now();
+                tOnlineArmTokens = 0;
                 docs[i] = entry.spec != nullptr
                     ? runBenchmark(*entry.spec, quick, seed)
                     : entry.run(quick, seed);
@@ -1320,7 +1339,8 @@ runnerMain(int argc, char **argv)
                     std::chrono::duration<double, std::milli>(
                         Clock::now() - start)
                         .count();
-                samples[i].simulatedTokens = simulatedTokensOf(docs[i]);
+                samples[i].simulatedTokens =
+                    simulatedTokensOf(docs[i]) + tOnlineArmTokens;
             }
         };
         const int poolSize = std::min<int>(

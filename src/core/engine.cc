@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "kv/kv_session.h"
 #include "kv/kv_tier.h"
@@ -135,15 +134,26 @@ struct FastTtsEngine::RequestContext
     long speculativeTokens_ = 0;
     long wastedSpecTokens_ = 0;
 
-    // Generation-phase scratch (valid within one iteration).
+    // Generation-phase scratch (valid within one iteration). Every
+    // buffer keeps its capacity across waves and iterations, so the
+    // event loop allocates nothing once the request has warmed up.
     std::vector<size_t> queue_;
     std::vector<size_t> decodeSet_;
     // Running speculative branches as (active_ index, branch index)
     // pairs, kept sorted in beam order and maintained incrementally
-    // (added at creation, filtered per event wave, cleared on kill) so
-    // the event loop never rescans all beams x branches.
+    // (merged in at creation, compacted per event wave, cleared on
+    // kill) so the event loop never rescans all beams x branches.
+    // Every entry is a running branch: killAllSpeculation() clears the
+    // set and the wave's compaction drops finished or failed ones.
     std::vector<std::pair<size_t, size_t>> specRunning_;
-    std::vector<std::pair<size_t, size_t>> specScratch_;
+    std::vector<std::pair<size_t, size_t>> specMerge_; //!< Merge buffer.
+    // SelectSPEC order of this phase's beams, built at the phase's
+    // first fill (scores are fixed until selection). Entries before
+    // specHead_ can take no more branches this phase.
+    std::vector<SpeculativePolicy::Candidate> specOrder_;
+    size_t specHead_ = 0;
+    bool specOrderReady_ = false;
+    std::vector<char> visited_; //!< Per-node marks (stepRequest).
     double meanVerifierSeq_ = 0;  //!< Mean incremental request length.
     double meanVerifierPath_ = 0; //!< Mean full-path length (planning).
     bool specAllowed_ = true;      //!< Memory allows speculation.
@@ -579,10 +589,10 @@ FastTtsEngine::killAllSpeculation()
 void
 FastTtsEngine::fillSpeculativeSlots()
 {
+    std::vector<std::pair<size_t, size_t>> &running = ctx_->specRunning_;
     const int capacity = std::max(1, ctx_->plan_.decodeBatch);
-    const int running = static_cast<int>(ctx_->specRunning_.size());
-    int free_slots =
-        capacity - static_cast<int>(ctx_->decodeSet_.size()) - running;
+    int free_slots = capacity - static_cast<int>(ctx_->decodeSet_.size())
+        - static_cast<int>(running.size());
     if (free_slots <= 0)
         return;
 
@@ -594,30 +604,35 @@ FastTtsEngine::fillSpeculativeSlots()
     if (ctx_->kvGen_->freeBlocks() < slack_blocks)
         return;
 
-    // Score bins over the active beams' previous-step scores: one
-    // O(n) edge scan, then every potential query is O(1). The event
-    // loop calls this every wave, so the per-beam potentials are
-    // computed exactly once per call instead of per comparison.
-    std::vector<double> scores;
-    scores.reserve(ctx_->active_.size());
-    for (const auto &b : ctx_->active_)
-        scores.push_back(b->score);
-    const SpeculativePolicy::ScoreBins bins =
-        specPolicy_.scoreBins(scores);
-    std::vector<int> potentials(ctx_->active_.size(), 0);
-    for (size_t i = 0; i < ctx_->active_.size(); ++i) {
-        potentials[i] = specPolicy_.binnedPotential(
-            ctx_->active_[i]->score, bins);
+    if (!ctx_->specOrderReady_) {
+        ctx_->specOrder_.clear();
+        for (size_t i = 0; i < ctx_->active_.size(); ++i) {
+            const ActiveBeam &b = *ctx_->active_[i];
+            ctx_->specOrder_.push_back(
+                {i, b.score, b.id, b.steps + 1 < dataset_.maxSteps, 0});
+        }
+        specPolicy_.orderCandidates(ctx_->specOrder_);
+        ctx_->specHead_ = 0;
+        ctx_->specOrderReady_ = true;
     }
 
-    // Candidates: finished, non-terminal beams with branch capacity
-    // left, highest speculative potential first.
-    std::vector<size_t> candidates;
-    for (size_t i = 0; i < ctx_->active_.size(); ++i) {
-        const ActiveBeam &b = *ctx_->active_[i];
-        if (!b.finishedGen || b.forceKilled || b.draw.terminal)
+    // Walk the order, highest speculative potential first, checking
+    // each beam's state when reached. Starting a branch allocates no
+    // blocks (a 0-token child of a resident path) and so evicts
+    // nothing: no beam's residency changes during the walk.
+    const size_t first_new = running.size();
+    bool out_of_memory = false;
+    for (size_t k = ctx_->specHead_; k < ctx_->specOrder_.size()
+         && free_slots > 0 && !out_of_memory; ++k) {
+        const SpeculativePolicy::Candidate &cand = ctx_->specOrder_[k];
+        ActiveBeam &b = *ctx_->active_[cand.beam];
+        if (b.forceKilled || b.branchesStarted >= cand.potential
+            || (b.finishedGen && b.draw.terminal)) {
+            if (k == ctx_->specHead_)
+                ++ctx_->specHead_; // Out for the rest of the phase.
             continue;
-        if (b.steps + 1 >= dataset_.maxSteps)
+        }
+        if (!b.finishedGen)
             continue;
         // Speculating from an evicted path would force a recompute
         // prefill — never worth it for speculative work.
@@ -626,54 +641,49 @@ FastTtsEngine::fillSpeculativeSlots()
                 != ctx_->kvGen_->pathTokens(b.curSeg)) {
             continue;
         }
-        if (b.branchesStarted >= potentials[i])
-            continue;
-        candidates.push_back(i);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [&](size_t a, size_t c) {
-                  if (potentials[a] != potentials[c])
-                      return potentials[a] > potentials[c];
-                  if (ctx_->active_[a]->score != ctx_->active_[c]->score)
-                      return ctx_->active_[a]->score > ctx_->active_[c]->score;
-                  return ctx_->active_[a]->id < ctx_->active_[c]->id;
-              });
-
-    for (size_t i = 0; i < candidates.size() && free_slots > 0;) {
-        ActiveBeam &b = *ctx_->active_[candidates[i]];
-        const int potential = potentials[candidates[i]];
-        if (b.branchesStarted >= potential) {
-            ++i;
-            continue;
+        while (b.branchesStarted < cand.potential && free_slots > 0) {
+            const int j = b.branchesStarted;
+            SpecBranch br;
+            br.childIdx = j;
+            const uint64_t child_seed =
+                childLineageSeed(b.seed, b.steps + 1, j);
+            br.draw = drawStep(generator_, ctx_->problem_, child_seed,
+                               b.steps + 1, b.draw.quality,
+                               algorithm_.stepTokenCap(b.steps + 1));
+            br.target = br.draw.tokens;
+            br.segId = ctx_->nextSegId_++;
+            br.node = ctx_->kvGen_->createChild(b.curSeg, br.segId, 0);
+            auto touch = ctx_->kvGen_->ensureResident(
+                br.node, static_cast<uint64_t>(ctx_->clock_.now() * 1e6));
+            if (!touch.ok) {
+                out_of_memory = true; // Too tight to speculate at all.
+                break;
+            }
+            chargeRecompute(touch.recomputeTokens);
+            chargeSwapIn(touch.swappedInBytes);
+            ctx_->kvGen_->retain(br.node);
+            br.retained = true;
+            b.branches.push_back(br);
+            running.emplace_back(cand.beam, b.branches.size() - 1);
+            ++b.branchesStarted;
+            --free_slots;
         }
-        const int j = b.branchesStarted;
-        SpecBranch br;
-        br.childIdx = j;
-        const uint64_t child_seed =
-            childLineageSeed(b.seed, b.steps + 1, j);
-        br.draw = drawStep(generator_, ctx_->problem_, child_seed, b.steps + 1,
-                           b.draw.quality,
-                           algorithm_.stepTokenCap(b.steps + 1));
-        br.target = br.draw.tokens;
-        br.segId = ctx_->nextSegId_++;
-        br.node = ctx_->kvGen_->createChild(b.curSeg, br.segId, 0);
-        auto touch = ctx_->kvGen_->ensureResident(
-            br.node, static_cast<uint64_t>(ctx_->clock_.now() * 1e6));
-        if (!touch.ok)
-            break; // Memory too tight to speculate at all.
-        chargeRecompute(touch.recomputeTokens);
-        chargeSwapIn(touch.swappedInBytes);
-        ctx_->kvGen_->retain(br.node);
-        br.retained = true;
-        b.branches.push_back(br);
-        ctx_->specRunning_.emplace_back(candidates[i], b.branches.size() - 1);
-        ++b.branchesStarted;
-        --free_slots;
     }
     // Keep the running set in (beam, branch) order: the event loop
     // applies tokens in this order, and allocation-failure behaviour
-    // under memory pressure must match the original full rescan.
-    std::sort(ctx_->specRunning_.begin(), ctx_->specRunning_.end());
+    // under memory pressure must match the original full rescan. The
+    // prefix is already sorted, so sort the new tail and merge.
+    if (first_new < running.size()) {
+        const auto tail = running.begin()
+            + static_cast<std::ptrdiff_t>(first_new);
+        std::sort(tail, running.end());
+        if (first_new > 0) {
+            ctx_->specMerge_.resize(running.size());
+            std::merge(running.begin(), tail, tail, running.end(),
+                       ctx_->specMerge_.begin());
+            running.swap(ctx_->specMerge_);
+        }
+    }
 }
 
 void
@@ -706,6 +716,7 @@ FastTtsEngine::runGenerationPhase()
     // Selection released every branch of the previous iteration; start
     // the running-set bookkeeping from a clean slate regardless.
     ctx_->specRunning_.clear();
+    ctx_->specOrderReady_ = false;
 
     const int capacity = std::max(1, ctx_->plan_.decodeBatch);
     // Pinned working-set estimate (tokens) for admission control.
@@ -785,18 +796,8 @@ FastTtsEngine::runGenerationPhase()
             fillSpeculativeSlots();
         }
 
-        // Snapshot the running members for this wave. Branch vectors
-        // may grow (invalidating pointers) only in fillSpeculativeSlots
-        // above, so pointers are stable for the rest of the wave.
-        ctx_->specScratch_ = ctx_->specRunning_;
-        std::vector<SpecBranch *> spec_run;
-        spec_run.reserve(ctx_->specScratch_.size());
-        for (const auto &[beam_idx, branch_idx] : ctx_->specScratch_) {
-            SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-            if (br.node >= 0 && !br.complete && br.retained)
-                spec_run.push_back(&br);
-        }
-        if (ctx_->decodeSet_.empty() && spec_run.empty()) {
+        const size_t spec_count = ctx_->specRunning_.size();
+        if (ctx_->decodeSet_.empty() && spec_count == 0) {
             if (q_head >= ctx_->queue_.size())
                 break;
             continue; // More standard beams to admit.
@@ -808,12 +809,15 @@ FastTtsEngine::runGenerationPhase()
             const ActiveBeam &b = *ctx_->active_[idx];
             dt = std::min(dt, b.targetTokens - b.decoded);
         }
-        for (SpecBranch *br : spec_run)
-            dt = std::min(dt, br->target - br->decoded);
+        for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
+            const SpecBranch &br =
+                ctx_->active_[beam_idx]->branches[branch_idx];
+            dt = std::min(dt, br.target - br.decoded);
+        }
         dt = std::max(dt, 1);
 
         const int active_total = static_cast<int>(ctx_->decodeSet_.size())
-            + static_cast<int>(spec_run.size());
+            + static_cast<int>(spec_count);
         const double ctx = currentAvgContext() + dt * 0.5;
         const double step_time = roofline_.decodeStepTime(
             models_.generator, active_total, ctx);
@@ -828,9 +832,9 @@ FastTtsEngine::runGenerationPhase()
         // Memory pressure from the standard beams preempts speculation
         // *before* any useful cache gets evicted (Sec. 4.1.2: the
         // speculative phase is fully preemptible).
-        if (!spec_run.empty()) {
+        if (spec_count > 0) {
             const size_t wave_need = ctx_->kvGen_->blocksFor(dt)
-                * (ctx_->decodeSet_.size() + spec_run.size());
+                * (ctx_->decodeSet_.size() + spec_count);
             if (ctx_->kvGen_->freeBlocks() < wave_need) {
                 killAllSpeculation();
                 spec_disabled = true;
@@ -838,8 +842,11 @@ FastTtsEngine::runGenerationPhase()
         }
 
         // --- Apply dt tokens to every running member ---
-        std::vector<size_t> still_running;
-        for (size_t idx : ctx_->decodeSet_) {
+        // Members still decoding are compacted to the front in order.
+        std::vector<size_t> &decoding = ctx_->decodeSet_;
+        size_t kept = 0;
+        for (size_t slot = 0; slot < decoding.size(); ++slot) {
+            const size_t idx = decoding[slot];
             ActiveBeam &b = *ctx_->active_[idx];
             if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, tick)) {
                 // Memory pressure: stop speculation, then preempt the
@@ -865,38 +872,37 @@ FastTtsEngine::runGenerationPhase()
                     0.0, pinned_tokens - ctx_->kvGen_->pathTokens(b.curSeg));
                 finishStandardBeam(idx);
             } else {
-                still_running.push_back(idx);
+                decoding[kept++] = idx;
             }
         }
-        ctx_->decodeSet_ = std::move(still_running);
+        decoding.resize(kept);
 
-        for (SpecBranch *br : spec_run) {
-            if (br->node < 0 || !br->retained)
-                continue; // Killed above.
+        // Speculative members, compacted the same way: branches that
+        // complete or cannot grow leave the running set, order kept. A
+        // kill above already emptied it.
+        std::vector<std::pair<size_t, size_t>> &running =
+            ctx_->specRunning_;
+        kept = 0;
+        for (size_t slot = 0; slot < running.size(); ++slot) {
+            SpecBranch &br =
+                ctx_->active_[running[slot].first]
+                    ->branches[running[slot].second];
             // Speculative appends may only take free blocks; they must
             // never evict cache the standard beams will re-touch.
-            if (!ctx_->kvGen_->appendTokens(br->node, dt, tick,
-                                      /*allow_evict=*/false)) {
-                releaseBranch(*br);
+            if (!ctx_->kvGen_->appendTokens(br.node, dt, tick,
+                                            /*allow_evict=*/false)) {
+                releaseBranch(br);
                 continue;
             }
-            br->decoded += dt;
+            br.decoded += dt;
             ctx_->generatedTokens_ += dt;
             ctx_->speculativeTokens_ += dt;
-            if (br->decoded >= br->target)
-                br->complete = true;
+            if (br.decoded >= br.target)
+                br.complete = true;
+            else
+                running[kept++] = running[slot];
         }
-
-        // Refresh the running set from this wave's snapshot: branches
-        // that completed, were preempted, or were killed above drop
-        // out; order is preserved.
-        ctx_->specRunning_.clear();
-        for (const auto &entry : ctx_->specScratch_) {
-            const SpecBranch &br =
-                ctx_->active_[entry.first]->branches[entry.second];
-            if (br.node >= 0 && !br.complete && br.retained)
-                ctx_->specRunning_.push_back(entry);
-        }
+        running.resize(kept);
 
         // Iteration ends when every standard beam finished its step;
         // in-flight speculation is strictly terminated at that point
@@ -1396,14 +1402,20 @@ FastTtsEngine::stepRequest()
         stats.residentTokens = ctx_->kvGen_->residentTokens();
         long unshared = 0;
         long unique = 0;
-        std::unordered_set<int> visited;
+        // Marks indexed by node id (ids are small and dense).
+        std::vector<char> &visited = ctx_->visited_;
+        std::fill(visited.begin(), visited.end(), 0);
         for (const auto &b : ctx_->active_) {
             const int leaf = b->curSeg >= 0 ? b->curSeg : b->leaf;
             unshared += ctx_->kvGen_->pathTokens(leaf);
             for (int id = leaf; id != KvCacheManager::kInvalid;
                  id = ctx_->kvGen_->parentOf(id)) {
-                if (!visited.insert(id).second)
+                const auto slot = static_cast<size_t>(id);
+                if (slot >= visited.size())
+                    visited.resize(slot + 1, 0);
+                if (visited[slot] != 0)
                     break; // Shared ancestors already counted.
+                visited[slot] = 1;
                 unique += ctx_->kvGen_->nodeTokens(id);
             }
         }

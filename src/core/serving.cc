@@ -152,6 +152,7 @@ ServingSystem::step()
     const bool more = engine_->stepRequest();
     outcome.requestsAdvanced = 1;
     outcome.tokensDecoded = engine_->generatedTokensSoFar() - decoded0;
+    tokensDecoded_ += outcome.tokensDecoded;
     outcome.waveTime = engine_->clock().now() - clock0;
     const int iterations = ++requests_.at(id).iterations;
 
@@ -244,6 +245,7 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
     BatchStepOutcome out;
     BatchWaveResult wave = engine_->stepBatch(contexts, plan);
     out.schedule.tokensDecoded = wave.tokensDecoded;
+    tokensDecoded_ += wave.tokensDecoded;
     out.schedule.prefillChunks = wave.prefillChunks;
     out.schedule.waveTime = wave.waveTime;
 

@@ -394,6 +394,10 @@ class ServingSystem
         return problems_;
     }
 
+    /** Generator tokens decoded by every step()/stepBatch() so far,
+     *  over all requests — completed, cancelled and failed alike. */
+    [[nodiscard]] long tokensDecoded() const { return tokensDecoded_; }
+
   private:
     struct Request
     {
@@ -430,6 +434,7 @@ class ServingSystem
     std::deque<RequestId> queue_;
     RequestId running_ = 0; //!< 0 = none (ids start at 1).
     RequestId nextId_ = 1;
+    long tokensDecoded_ = 0;
 };
 
 /** Aggregate a set of request results into a BatchResult. Safe on an

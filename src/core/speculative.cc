@@ -51,6 +51,33 @@ SpeculativePolicy::binnedPotential(double prev_score,
     return branchFactor_ - j + 1;
 }
 
+void
+SpeculativePolicy::orderCandidates(std::vector<Candidate> &candidates) const
+{
+    // The same edges scoreBins() finds, without a separate score list.
+    ScoreBins bins;
+    for (const Candidate &c : candidates) {
+        bins.lo = bins.empty ? c.score : std::min(bins.lo, c.score);
+        bins.hi = bins.empty ? c.score : std::max(bins.hi, c.score);
+        bins.empty = false;
+    }
+    for (Candidate &c : candidates)
+        c.potential = c.extendable ? binnedPotential(c.score, bins) : 0;
+    candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                    [](const Candidate &c) {
+                                        return c.potential <= 0;
+                                    }),
+                     candidates.end());
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate &a, const Candidate &c) {
+                  if (a.potential != c.potential)
+                      return a.potential > c.potential;
+                  if (a.score != c.score)
+                      return a.score > c.score;
+                  return a.id < c.id;
+              });
+}
+
 int
 SpeculativePolicy::truncationKeep(int spec_len, Rng &rng) const
 {

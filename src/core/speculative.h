@@ -15,6 +15,8 @@
 #ifndef FASTTTS_CORE_SPECULATIVE_H
 #define FASTTTS_CORE_SPECULATIVE_H
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -80,6 +82,27 @@ class SpeculativePolicy
      *  bins = scoreBins(scores). */
     [[nodiscard]] int
     binnedPotential(double prev_score, const ScoreBins &bins) const;
+
+    /** One active beam as SelectSPEC's candidate order sees it. */
+    struct Candidate
+    {
+        size_t beam = 0;         //!< The caller's beam index.
+        double score = 0;        //!< Previous-step verifier score.
+        uint64_t id = 0;         //!< Unique beam id (the final tiebreak).
+        bool extendable = false; //!< A child step is still allowed.
+        int potential = 0;       //!< M_i; set by orderCandidates().
+    };
+
+    /**
+     * SelectSPEC priority order of one generation phase. A beam's
+     * score cannot change within the phase, so the engine computes
+     * this once and walks it on every event wave.
+     * @param candidates Every active beam. The bin edges come from all
+     *        of their scores; on return only the extendable beams with
+     *        a positive potential remain, sorted by potential desc,
+     *        score desc, id asc (ids are unique, so the order is total).
+     */
+    void orderCandidates(std::vector<Candidate> &candidates) const;
 
     /**
      * Tokens a duplicate keeps from a speculated segment of spec_len

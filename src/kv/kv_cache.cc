@@ -212,8 +212,12 @@ KvCacheManager::appendTokens(NodeId id, int delta, uint64_t tick,
     Node &n = node(id);
     const int new_tokens = n.tokens + delta;
     if (n.resident) {
-        const size_t need = blocksForTokens(new_tokens, blockTokens_)
-            - n.blocksHeld;
+        // Most appends land in the last held block: skip the division.
+        const size_t need =
+            static_cast<size_t>(new_tokens)
+                    <= n.blocksHeld * static_cast<size_t>(blockTokens_)
+            ? 0
+            : blocksForTokens(new_tokens, blockTokens_) - n.blocksHeld;
         if (need > 0) {
             if (freeBlocks() < need
                 && (!allow_evict || !reclaim(need))) {
@@ -228,7 +232,8 @@ KvCacheManager::appendTokens(NodeId id, int delta, uint64_t tick,
     }
     n.tokens = new_tokens;
     unsharedTokens_ += static_cast<long>(delta) * n.refCount;
-    shiftDescendantPrefixes(id, delta);
+    if (!n.children.empty())
+        shiftDescendantPrefixes(id, delta);
     return true;
 }
 

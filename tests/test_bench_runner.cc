@@ -206,16 +206,15 @@ TEST(BenchRunner, EmitsSelfTimingHarnessDocument)
     ASSERT_EQ(benchmarks.size(), 2u);
     EXPECT_EQ(benchmarks.at(0)["name"].asString(), "micro");
     EXPECT_EQ(benchmarks.at(1)["name"].asString(), "online_scheduling");
+    // Both the figure benchmark and the online one simulate real
+    // tokens (the online arms are counted by the serving system, not
+    // read from the document); tokens/s follows the wall time.
     for (size_t i = 0; i < benchmarks.size(); ++i) {
         EXPECT_GT(benchmarks.at(i)["wall_ms"].asNumber(), 0.0);
-        EXPECT_GE(benchmarks.at(i)["simulated_tokens"].asNumber(), 0.0);
-        EXPECT_GE(benchmarks.at(i)["simulated_tokens_per_s"].asNumber(),
+        EXPECT_GT(benchmarks.at(i)["simulated_tokens"].asNumber(), 0.0);
+        EXPECT_GT(benchmarks.at(i)["simulated_tokens_per_s"].asNumber(),
                   0.0);
     }
-    // The figure benchmark simulates real tokens; tokens/s must be
-    // consistent with the recorded wall time.
-    EXPECT_GT(benchmarks.at(0)["simulated_tokens"].asNumber(), 0.0);
-    EXPECT_GT(benchmarks.at(0)["simulated_tokens_per_s"].asNumber(), 0.0);
 
     std::filesystem::remove_all(outDir);
 }

@@ -26,6 +26,20 @@ TEST(ServingSystem, ServesProblemsAndAggregates)
     EXPECT_GE(out.passAtNAccuracy, out.passAt1);
 }
 
+TEST(ServingSystem, CountsEveryDecodedToken)
+{
+    ServingOptions opts;
+    opts.numBeams = 8;
+    ServingSystem system = ServingSystem::create(opts).value();
+    EXPECT_EQ(system.tokensDecoded(), 0);
+    const auto out = system.serveProblems(3);
+    long generated = 0;
+    for (const RequestResult &r : out.requests)
+        generated += r.generatedTokens;
+    EXPECT_GT(generated, 0);
+    EXPECT_EQ(system.tokensDecoded(), generated);
+}
+
 TEST(ServingSystem, ProblemSetIsDeterministic)
 {
     ServingOptions opts;
