@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "alloc/memory_planner.h"
 #include "core/engine.h"
 #include "core/online_server.h"
@@ -310,6 +312,48 @@ BM_GenerationPhaseWideBeam(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GenerationPhaseWideBeam)->Unit(benchmark::kMillisecond);
+
+/**
+ * KV-tree churn of a 64-wide beam search on one manager: every step
+ * each of 32 surviving leaves branches into two children, and each
+ * child is touched, pinned, grown by one thinking step and released.
+ * The pool holds under half of the tokens one search creates, so
+ * later steps evict earlier ones. One iteration is one 16-step search
+ * on a fresh manager (1,024 nodes created).
+ */
+void
+BM_KvTreeBranchChurn(benchmark::State &state)
+{
+    constexpr int kWidth = 64;
+    constexpr int kSteps = 16;
+    constexpr double kBytesPerToken = 28672;
+    for (auto _ : state) {
+        KvCacheManager kv(64000 * kBytesPerToken, kBytesPerToken, 16);
+        Rng rng(42);
+        std::vector<int> leaves(kWidth, KvCacheManager::kRoot);
+        std::vector<int> children(kWidth);
+        uint64_t seg = 1;
+        uint64_t tick = 0;
+        for (int step = 0; step < kSteps; ++step) {
+            for (int i = 0; i < kWidth; ++i) {
+                const int child = kv.createChild(
+                    leaves[static_cast<size_t>(i / 2)], seg++, 0);
+                ++tick;
+                if (kv.ensureResident(child, tick).ok) {
+                    kv.retain(child);
+                    (void)kv.appendTokens(child, rng.uniformInt(60, 240),
+                                          tick);
+                    kv.release(child);
+                }
+                children[static_cast<size_t>(i)] = child;
+            }
+            leaves.swap(children);
+        }
+        benchmark::DoNotOptimize(kv.residentTokens());
+    }
+    state.SetItemsProcessed(state.iterations() * kWidth * kSteps);
+}
+BENCHMARK(BM_KvTreeBranchChurn)->Unit(benchmark::kMicrosecond);
 
 /**
  * Greedy prefix-aware order() over a wide beam set with deep shared

@@ -73,6 +73,30 @@ struct FastTtsEngine::ActiveBeam
 };
 
 /**
+ * One running member of the generation event loop: a standard beam
+ * decoding its step or a speculative branch. The event loop reads only
+ * the lanes on every wave; it reaches the beam, the branch and the KV
+ * tree when a member needs a new KV block or leaves the running set.
+ *
+ * Deferred appends: tokens that still fit the blocks a node holds
+ * accumulate in `pending` and reach the KV tree in one appendTokens()
+ * call, made when the member next needs a block or when it leaves the
+ * running set. Such an append allocates nothing and cannot fail, and
+ * a running member's node is pinned (never a victim) and a leaf (on no
+ * other path), so nothing else reads the deferred state meanwhile.
+ */
+struct FastTtsEngine::MemberLane
+{
+    size_t beam = 0;   //!< active_ index.
+    size_t branch = 0; //!< ActiveBeam::branches index (speculative).
+    int node = -1;     //!< Generator KV node the member decodes into.
+    int remaining = 0; //!< Tokens left to decode in the step.
+    int room = 0;      //!< Tokens the node's held blocks still take.
+    int pending = 0;   //!< Decoded tokens not yet applied to `node`.
+    int path = 0;      //!< Path tokens of `node`, pending included.
+};
+
+/**
  * Everything that belongs to one in-flight request: mounted on the
  * engine between beginRequest() and finishRequest(), or parked inside
  * a SuspendedEngineRequest. Field names keep the engine-member style
@@ -138,20 +162,23 @@ struct FastTtsEngine::RequestContext
     // buffer keeps its capacity across waves and iterations, so the
     // event loop allocates nothing once the request has warmed up.
     std::vector<size_t> queue_;
-    std::vector<size_t> decodeSet_;
-    // Running speculative branches as (active_ index, branch index)
-    // pairs, kept sorted in beam order and maintained incrementally
-    // (merged in at creation, compacted per event wave, cleared on
-    // kill) so the event loop never rescans all beams x branches.
-    // Every entry is a running branch: killAllSpeculation() clears the
-    // set and the wave's compaction drops finished or failed ones.
-    std::vector<std::pair<size_t, size_t>> specRunning_;
-    std::vector<std::pair<size_t, size_t>> specMerge_; //!< Merge buffer.
+    // Running members, one lane each: standard beams in admission
+    // order, then speculative branches kept sorted by (beam, branch)
+    // and maintained incrementally (merged in at creation, compacted
+    // per event wave, cleared on kill). Every entry is running:
+    // members leave on finish, preemption, failure or kill.
+    std::vector<MemberLane> decodeLanes_;
+    std::vector<MemberLane> specLanes_;
+    std::vector<MemberLane> laneMerge_; //!< Merge buffer.
+    uint64_t waveTick_ = 0; //!< Tick of the last wave applied; every
+                            //!< lane's pending tokens date from it.
     // SelectSPEC order of this phase's beams, built at the phase's
-    // first fill (scores are fixed until selection). Entries before
-    // specHead_ can take no more branches this phase.
+    // first fill (scores are fixed until selection), with each beam's
+    // rank in it (-1: never speculates) and a bitset over ranks of the
+    // finished beams that may still take branches.
     std::vector<SpeculativePolicy::Candidate> specOrder_;
-    size_t specHead_ = 0;
+    std::vector<int> specRank_;
+    std::vector<uint64_t> specReady_;
     bool specOrderReady_ = false;
     std::vector<char> visited_; //!< Per-node marks (stepRequest).
     double meanVerifierSeq_ = 0;  //!< Mean incremental request length.
@@ -204,6 +231,34 @@ synthesizedPromptIds(const Problem &problem)
         ids.push_back(static_cast<int32_t>(z & 0x7FFFFFFFu));
     }
     return ids;
+}
+
+void
+setBit(std::vector<uint64_t> &bits, size_t i)
+{
+    bits[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+void
+clearBit(std::vector<uint64_t> &bits, size_t i)
+{
+    bits[i / 64] &= ~(uint64_t{1} << (i % 64));
+}
+
+/** First set bit at or after `from`, or bits.size() * 64 if none. */
+size_t
+nextSetBit(const std::vector<uint64_t> &bits, size_t from)
+{
+    size_t w = from / 64;
+    if (w >= bits.size())
+        return bits.size() * 64;
+    uint64_t word = bits[w] & (~uint64_t{0} << (from % 64));
+    while (word == 0) {
+        if (++w == bits.size())
+            return bits.size() * 64;
+        word = bits[w];
+    }
+    return w * 64 + static_cast<size_t>(__builtin_ctzll(word));
 }
 
 } // namespace
@@ -268,8 +323,8 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->completed_.clear();
     ctx_->iterStats_.clear();
     ctx_->queue_.clear();
-    ctx_->decodeSet_.clear();
-    ctx_->specRunning_.clear();
+    ctx_->decodeLanes_.clear();
+    ctx_->specLanes_.clear();
     ctx_->stepTokens_.assign(static_cast<size_t>(dataset_.maxSteps) + 1, {});
     ctx_->nextBeamId_ = 1;
     ctx_->nextSegId_ = 1;
@@ -448,32 +503,6 @@ FastTtsEngine::replan()
     }
 }
 
-double
-FastTtsEngine::currentAvgContext() const
-{
-    // Path tokens are cached per node (O(1)) and the running branch
-    // set is maintained incrementally, so this is O(batch members)
-    // instead of O(beams x branches x depth). The accumulator stays
-    // integral, so the mean is bit-identical to the full rescan.
-    long total = 0;
-    int count = 0;
-    for (size_t idx : ctx_->decodeSet_) {
-        const ActiveBeam &b = *ctx_->active_[idx];
-        total += ctx_->kvGen_->pathTokens(b.curSeg);
-        ++count;
-    }
-    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-        const SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-        if (br.node >= 0 && !br.complete && br.retained) {
-            total += ctx_->kvGen_->pathTokens(br.node);
-            ++count;
-        }
-    }
-    if (count == 0)
-        return ctx_->problem_.promptTokens;
-    return static_cast<double>(total) / count;
-}
-
 void
 FastTtsEngine::chargeRecompute(int tokens)
 {
@@ -537,9 +566,16 @@ FastTtsEngine::admitBeam(size_t idx)
         ctx_->stepTokens_[static_cast<size_t>(
                         std::min(b.steps, dataset_.maxSteps))]
             .push_back(b.targetTokens);
+        markSpeculationReady(idx);
     } else {
         b.inDecode = true;
-        ctx_->decodeSet_.push_back(idx);
+        MemberLane lane;
+        lane.beam = idx;
+        lane.node = b.curSeg;
+        lane.remaining = b.targetTokens - b.decoded;
+        lane.room = ctx_->kvGen_->appendRoom(b.curSeg);
+        lane.path = ctx_->kvGen_->pathTokens(b.curSeg);
+        ctx_->decodeLanes_.push_back(lane);
     }
     return true;
 }
@@ -556,6 +592,59 @@ FastTtsEngine::finishStandardBeam(size_t idx)
     }
     ctx_->stepTokens_[static_cast<size_t>(std::min(b.steps, dataset_.maxSteps))]
         .push_back(b.targetTokens);
+    markSpeculationReady(idx);
+}
+
+void
+FastTtsEngine::markSpeculationReady(size_t idx)
+{
+    if (!ctx_->specOrderReady_)
+        return; // The first fill marks every beam finished by then.
+    const int rank = ctx_->specRank_[idx];
+    if (rank >= 0)
+        setBit(ctx_->specReady_, static_cast<size_t>(rank));
+}
+
+bool
+FastTtsEngine::appendWithNewBlock(MemberLane &lane, int dt, uint64_t tick,
+                                  bool allow_evict)
+{
+    // Apply the deferred tokens with this wave's. On success the node
+    // ends exactly as one append per wave would leave it, and the
+    // allocation (need, reclaim, ledger charge, fault probe) is the one
+    // that wave's append made; the deferred tokens allocate nothing and
+    // change nothing reclaim reads.
+    if (ctx_->kvGen_->appendTokens(lane.node, lane.pending + dt, tick,
+                                   allow_evict)) {
+        lane.pending = 0;
+        lane.room = ctx_->kvGen_->appendRoom(lane.node);
+        return true;
+    }
+    // A failed append changes nothing of the node, so settle as the
+    // previous waves left it before the caller preempts or releases.
+    settleLane(lane, ctx_->waveTick_);
+    return false;
+}
+
+void
+FastTtsEngine::settleLane(MemberLane &lane, uint64_t tick)
+{
+    if (lane.pending == 0)
+        return;
+    // Fits the held blocks (lane.room), so this cannot fail.
+    const bool applied =
+        ctx_->kvGen_->appendTokens(lane.node, lane.pending, tick);
+    assert(applied);
+    (void)applied;
+    lane.pending = 0;
+}
+
+void
+FastTtsEngine::retireSpecLane(MemberLane &lane, uint64_t tick)
+{
+    settleLane(lane, tick);
+    SpecBranch &br = ctx_->active_[lane.beam]->branches[lane.branch];
+    br.decoded = br.target - lane.remaining;
 }
 
 void
@@ -575,23 +664,23 @@ void
 FastTtsEngine::killAllSpeculation()
 {
     // Branches are only *marked* dead (node = -1); the vector is never
-    // resized here because the event loop may hold pointers into it.
-    // Only the tracked running set needs visiting: completed branches
-    // stay alive for selection, dead ones are already node = -1.
-    for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-        SpecBranch &br = ctx_->active_[beam_idx]->branches[branch_idx];
-        if (br.node >= 0 && !br.complete)
-            releaseBranch(br);
+    // resized here. Only the running lanes need visiting: completed
+    // branches stay alive for selection, dead ones are already
+    // node = -1. Every lane last decoded in the last applied wave.
+    for (MemberLane &lane : ctx_->specLanes_) {
+        retireSpecLane(lane, ctx_->waveTick_);
+        releaseBranch(ctx_->active_[lane.beam]->branches[lane.branch]);
     }
-    ctx_->specRunning_.clear();
+    ctx_->specLanes_.clear();
 }
 
 void
 FastTtsEngine::fillSpeculativeSlots()
 {
-    std::vector<std::pair<size_t, size_t>> &running = ctx_->specRunning_;
+    std::vector<MemberLane> &running = ctx_->specLanes_;
     const int capacity = std::max(1, ctx_->plan_.decodeBatch);
-    int free_slots = capacity - static_cast<int>(ctx_->decodeSet_.size())
+    int free_slots = capacity
+        - static_cast<int>(ctx_->decodeLanes_.size())
         - static_cast<int>(running.size());
     if (free_slots <= 0)
         return;
@@ -604,6 +693,7 @@ FastTtsEngine::fillSpeculativeSlots()
     if (ctx_->kvGen_->freeBlocks() < slack_blocks)
         return;
 
+    std::vector<uint64_t> &ready = ctx_->specReady_;
     if (!ctx_->specOrderReady_) {
         ctx_->specOrder_.clear();
         for (size_t i = 0; i < ctx_->active_.size(); ++i) {
@@ -612,28 +702,33 @@ FastTtsEngine::fillSpeculativeSlots()
                 {i, b.score, b.id, b.steps + 1 < dataset_.maxSteps, 0});
         }
         specPolicy_.orderCandidates(ctx_->specOrder_);
-        ctx_->specHead_ = 0;
+        ctx_->specRank_.assign(ctx_->active_.size(), -1);
+        ready.assign((ctx_->specOrder_.size() + 63) / 64, 0);
+        for (size_t k = 0; k < ctx_->specOrder_.size(); ++k) {
+            const size_t beam = ctx_->specOrder_[k].beam;
+            ctx_->specRank_[beam] = static_cast<int>(k);
+            if (ctx_->active_[beam]->finishedGen)
+                setBit(ready, k);
+        }
         ctx_->specOrderReady_ = true;
     }
 
-    // Walk the order, highest speculative potential first, checking
-    // each beam's state when reached. Starting a branch allocates no
-    // blocks (a 0-token child of a resident path) and so evicts
-    // nothing: no beam's residency changes during the walk.
+    // Walk the finished beams in SelectSPEC order, highest speculative
+    // potential first. A beam leaves the ready set once it can take no
+    // more branches this phase. Starting a branch allocates no blocks
+    // (a 0-token child of a resident path) and so evicts nothing: no
+    // beam's residency changes during the walk.
     const size_t first_new = running.size();
     bool out_of_memory = false;
-    for (size_t k = ctx_->specHead_; k < ctx_->specOrder_.size()
-         && free_slots > 0 && !out_of_memory; ++k) {
+    for (size_t k = nextSetBit(ready, 0); k < ctx_->specOrder_.size()
+         && free_slots > 0 && !out_of_memory; k = nextSetBit(ready, k + 1)) {
         const SpeculativePolicy::Candidate &cand = ctx_->specOrder_[k];
         ActiveBeam &b = *ctx_->active_[cand.beam];
         if (b.forceKilled || b.branchesStarted >= cand.potential
-            || (b.finishedGen && b.draw.terminal)) {
-            if (k == ctx_->specHead_)
-                ++ctx_->specHead_; // Out for the rest of the phase.
+            || b.draw.terminal) {
+            clearBit(ready, k); // Out for the rest of the phase.
             continue;
         }
-        if (!b.finishedGen)
-            continue;
         // Speculating from an evicted path would force a recompute
         // prefill — never worth it for speculative work.
         if (b.curSeg < 0
@@ -664,24 +759,36 @@ FastTtsEngine::fillSpeculativeSlots()
             ctx_->kvGen_->retain(br.node);
             br.retained = true;
             b.branches.push_back(br);
-            running.emplace_back(cand.beam, b.branches.size() - 1);
+            MemberLane lane;
+            lane.beam = cand.beam;
+            lane.branch = b.branches.size() - 1;
+            lane.node = br.node;
+            lane.remaining = br.target;
+            lane.room = ctx_->kvGen_->appendRoom(br.node);
+            lane.path = ctx_->kvGen_->pathTokens(br.node);
+            running.push_back(lane);
             ++b.branchesStarted;
             --free_slots;
         }
+        if (b.branchesStarted >= cand.potential)
+            clearBit(ready, k);
     }
     // Keep the running set in (beam, branch) order: the event loop
     // applies tokens in this order, and allocation-failure behaviour
     // under memory pressure must match the original full rescan. The
     // prefix is already sorted, so sort the new tail and merge.
     if (first_new < running.size()) {
+        const auto by_member = [](const MemberLane &a, const MemberLane &b) {
+            return a.beam != b.beam ? a.beam < b.beam : a.branch < b.branch;
+        };
         const auto tail = running.begin()
             + static_cast<std::ptrdiff_t>(first_new);
-        std::sort(tail, running.end());
+        std::sort(tail, running.end(), by_member);
         if (first_new > 0) {
-            ctx_->specMerge_.resize(running.size());
+            ctx_->laneMerge_.resize(running.size());
             std::merge(running.begin(), tail, tail, running.end(),
-                       ctx_->specMerge_.begin());
-            running.swap(ctx_->specMerge_);
+                       ctx_->laneMerge_.begin(), by_member);
+            running.swap(ctx_->laneMerge_);
         }
     }
 }
@@ -712,11 +819,12 @@ FastTtsEngine::runGenerationPhase()
         ctx_->active_[entries[pos].index]->prevPos = static_cast<int>(pos);
         ctx_->queue_.push_back(entries[pos].index);
     }
-    ctx_->decodeSet_.clear();
     // Selection released every branch of the previous iteration; start
-    // the running-set bookkeeping from a clean slate regardless.
-    ctx_->specRunning_.clear();
+    // the lanes from a clean slate regardless.
+    ctx_->decodeLanes_.clear();
+    ctx_->specLanes_.clear();
     ctx_->specOrderReady_ = false;
+    ctx_->waveTick_ = 0;
 
     const int capacity = std::max(1, ctx_->plan_.decodeBatch);
     // Pinned working-set estimate (tokens) for admission control.
@@ -735,13 +843,15 @@ FastTtsEngine::runGenerationPhase()
     bool spec_disabled = false;
     int safety = 0;
     const int safety_cap = static_cast<int>(ctx_->active_.size()) * 4096 + 4096;
+    std::vector<MemberLane> &decoding = ctx_->decodeLanes_;
+    std::vector<MemberLane> &speculating = ctx_->specLanes_;
 
     while (true) {
         if (++safety > safety_cap)
             break; // Defensive: never hang a simulation.
 
         // --- Phase 1: Continuous Beam Batching admission ---
-        while (static_cast<int>(ctx_->decodeSet_.size()) < capacity
+        while (static_cast<int>(decoding.size()) < capacity
                && q_head < ctx_->queue_.size()) {
             const size_t idx = ctx_->queue_[q_head];
             ActiveBeam &b = *ctx_->active_[idx];
@@ -763,7 +873,7 @@ FastTtsEngine::runGenerationPhase()
                 + remaining;
             if (config_.asymmetricAllocation
                 && pinned_tokens + need > budget_tokens * 0.95
-                && !ctx_->decodeSet_.empty()) {
+                && !decoding.empty()) {
                 break; // Wait for running beams to finish.
             }
             // Baseline (M off): admit whenever blocks can be found now
@@ -774,7 +884,7 @@ FastTtsEngine::runGenerationPhase()
                 killAllSpeculation();
                 spec_disabled = true;
                 if (!admitBeam(idx)) {
-                    if (ctx_->decodeSet_.empty()) {
+                    if (decoding.empty()) {
                         // Alone it still does not fit: the beam can
                         // never run under this budget.
                         b.forceKilled = true;
@@ -796,29 +906,34 @@ FastTtsEngine::runGenerationPhase()
             fillSpeculativeSlots();
         }
 
-        const size_t spec_count = ctx_->specRunning_.size();
-        if (ctx_->decodeSet_.empty() && spec_count == 0) {
+        const size_t spec_count = speculating.size();
+        if (decoding.empty() && spec_count == 0) {
             if (q_head >= ctx_->queue_.size())
                 break;
             continue; // More standard beams to admit.
         }
 
         // --- Next event: smallest remaining token count ---
+        // The mean context comes from the same pass; its accumulator
+        // stays integral, so the mean is bit-identical to a rescan of
+        // the KV tree.
         int dt = std::numeric_limits<int>::max();
-        for (size_t idx : ctx_->decodeSet_) {
-            const ActiveBeam &b = *ctx_->active_[idx];
-            dt = std::min(dt, b.targetTokens - b.decoded);
+        long path_total = 0;
+        for (const MemberLane &lane : decoding) {
+            dt = std::min(dt, lane.remaining);
+            path_total += lane.path;
         }
-        for (const auto &[beam_idx, branch_idx] : ctx_->specRunning_) {
-            const SpecBranch &br =
-                ctx_->active_[beam_idx]->branches[branch_idx];
-            dt = std::min(dt, br.target - br.decoded);
+        for (const MemberLane &lane : speculating) {
+            dt = std::min(dt, lane.remaining);
+            path_total += lane.path;
         }
         dt = std::max(dt, 1);
 
-        const int active_total = static_cast<int>(ctx_->decodeSet_.size())
-            + static_cast<int>(spec_count);
-        const double ctx = currentAvgContext() + dt * 0.5;
+        const int active_total =
+            static_cast<int>(decoding.size() + spec_count);
+        const double ctx = static_cast<double>(path_total)
+                / static_cast<double>(active_total)
+            + dt * 0.5;
         const double step_time = roofline_.decodeStepTime(
             models_.generator, active_total, ctx);
         ctx_->clock_.advance(dt * step_time, Phase::Generation,
@@ -834,7 +949,7 @@ FastTtsEngine::runGenerationPhase()
         // speculative phase is fully preemptible).
         if (spec_count > 0) {
             const size_t wave_need = ctx_->kvGen_->blocksFor(dt)
-                * (ctx_->decodeSet_.size() + spec_count);
+                * (decoding.size() + spec_count);
             if (ctx_->kvGen_->freeBlocks() < wave_need) {
                 killAllSpeculation();
                 spec_disabled = true;
@@ -843,73 +958,105 @@ FastTtsEngine::runGenerationPhase()
 
         // --- Apply dt tokens to every running member ---
         // Members still decoding are compacted to the front in order.
-        std::vector<size_t> &decoding = ctx_->decodeSet_;
+        // A member touches its beam and the KV tree only when it needs
+        // a new block or leaves the running set (MemberLane).
+        long wave_tokens = 0;
         size_t kept = 0;
         for (size_t slot = 0; slot < decoding.size(); ++slot) {
-            const size_t idx = decoding[slot];
-            ActiveBeam &b = *ctx_->active_[idx];
-            if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, tick)) {
+            MemberLane lane = decoding[slot];
+            if (dt <= lane.room) {
+                lane.room -= dt;
+                lane.pending += dt;
+            } else if (!appendWithNewBlock(lane, dt, tick,
+                                           /*allow_evict=*/true)) {
                 // Memory pressure: stop speculation, then preempt the
                 // beam itself if still stuck (vLLM swap semantics).
                 killAllSpeculation();
                 spec_disabled = true;
-                if (!ctx_->kvGen_->appendTokens(b.curSeg, dt, tick)) {
-                    ctx_->kvGen_->release(b.curSeg);
+                if (!ctx_->kvGen_->appendTokens(lane.node, dt, tick)) {
+                    ActiveBeam &b = *ctx_->active_[lane.beam];
+                    b.decoded = b.targetTokens - lane.remaining;
+                    ctx_->kvGen_->release(lane.node);
                     b.pinned = false;
                     b.inDecode = false;
                     pinned_tokens = std::max(
                         0.0, pinned_tokens
-                                 - (ctx_->kvGen_->pathTokens(b.curSeg)
-                                    + b.targetTokens - b.decoded));
-                    ctx_->queue_.push_back(idx);
+                                 - (lane.path + lane.remaining));
+                    ctx_->queue_.push_back(lane.beam);
                     continue;
                 }
+                lane.room = ctx_->kvGen_->appendRoom(lane.node);
             }
-            b.decoded += dt;
-            ctx_->generatedTokens_ += dt;
-            if (b.decoded >= b.targetTokens) {
-                pinned_tokens = std::max(
-                    0.0, pinned_tokens - ctx_->kvGen_->pathTokens(b.curSeg));
-                finishStandardBeam(idx);
+            lane.remaining -= dt;
+            lane.path += dt;
+            wave_tokens += dt;
+            if (lane.remaining <= 0) {
+                settleLane(lane, tick);
+                ActiveBeam &b = *ctx_->active_[lane.beam];
+                b.decoded = b.targetTokens - lane.remaining;
+                pinned_tokens =
+                    std::max(0.0, pinned_tokens - lane.path);
+                finishStandardBeam(lane.beam);
             } else {
-                decoding[kept++] = idx;
+                decoding[kept++] = lane;
             }
         }
         decoding.resize(kept);
+        ctx_->generatedTokens_ += wave_tokens;
 
         // Speculative members, compacted the same way: branches that
         // complete or cannot grow leave the running set, order kept. A
         // kill above already emptied it.
-        std::vector<std::pair<size_t, size_t>> &running =
-            ctx_->specRunning_;
+        wave_tokens = 0;
         kept = 0;
-        for (size_t slot = 0; slot < running.size(); ++slot) {
-            SpecBranch &br =
-                ctx_->active_[running[slot].first]
-                    ->branches[running[slot].second];
+        for (size_t slot = 0; slot < speculating.size(); ++slot) {
+            MemberLane lane = speculating[slot];
             // Speculative appends may only take free blocks; they must
             // never evict cache the standard beams will re-touch.
-            if (!ctx_->kvGen_->appendTokens(br.node, dt, tick,
-                                            /*allow_evict=*/false)) {
-                releaseBranch(br);
+            if (dt <= lane.room) {
+                lane.room -= dt;
+                lane.pending += dt;
+            } else if (!appendWithNewBlock(lane, dt, tick,
+                                           /*allow_evict=*/false)) {
+                retireSpecLane(lane, ctx_->waveTick_);
+                releaseBranch(
+                    ctx_->active_[lane.beam]->branches[lane.branch]);
                 continue;
             }
-            br.decoded += dt;
-            ctx_->generatedTokens_ += dt;
-            ctx_->speculativeTokens_ += dt;
-            if (br.decoded >= br.target)
-                br.complete = true;
-            else
-                running[kept++] = running[slot];
+            lane.remaining -= dt;
+            lane.path += dt;
+            wave_tokens += dt;
+            if (lane.remaining <= 0) {
+                retireSpecLane(lane, tick);
+                ctx_->active_[lane.beam]->branches[lane.branch].complete =
+                    true;
+            } else {
+                speculating[kept++] = lane;
+            }
         }
-        running.resize(kept);
+        speculating.resize(kept);
+        ctx_->generatedTokens_ += wave_tokens;
+        ctx_->speculativeTokens_ += wave_tokens;
+        ctx_->waveTick_ = tick;
 
         // Iteration ends when every standard beam finished its step;
         // in-flight speculation is strictly terminated at that point
         // (partial tokens are kept as head starts).
-        if (ctx_->decodeSet_.empty() && q_head >= ctx_->queue_.size())
+        if (decoding.empty() && q_head >= ctx_->queue_.size())
             break;
     }
+
+    // Members still running at the phase end (speculation cut short,
+    // or every member after the safety cap) keep their decoded tokens.
+    for (MemberLane &lane : speculating)
+        retireSpecLane(lane, ctx_->waveTick_);
+    speculating.clear();
+    for (MemberLane &lane : decoding) {
+        settleLane(lane, ctx_->waveTick_);
+        ActiveBeam &b = *ctx_->active_[lane.beam];
+        b.decoded = b.targetTokens - lane.remaining;
+    }
+    decoding.clear();
 }
 
 void

@@ -337,6 +337,7 @@ class FastTtsEngine
   private:
     struct ActiveBeam;
     struct SpecBranch;
+    struct MemberLane;
 
     // --- Request lifecycle ---
     void resetRequestState(const Problem &problem,
@@ -350,11 +351,15 @@ class FastTtsEngine
     // --- Generation helpers ---
     bool admitBeam(size_t idx);
     void fillSpeculativeSlots();
+    void markSpeculationReady(size_t idx);
     void finishStandardBeam(size_t idx);
+    bool appendWithNewBlock(MemberLane &lane, int dt, uint64_t tick,
+                            bool allow_evict);
+    void settleLane(MemberLane &lane, uint64_t tick);
+    void retireSpecLane(MemberLane &lane, uint64_t tick);
     void killAllSpeculation();
     void chargeRecompute(int tokens);
     void chargeSwapIn(double bytes);
-    double currentAvgContext() const;
 
     // --- Bookkeeping ---
     void completeBeam(ActiveBeam &beam, double score);

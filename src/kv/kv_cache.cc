@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <sstream>
+#include <type_traits>
 
 #include "kv/kv_session.h"
 #include "kv/kv_tier.h"
@@ -124,8 +126,9 @@ KvCacheManager::releaseBlocks(size_t n)
 KvCacheManager::NodeId
 KvCacheManager::childOf(NodeId parent, uint64_t seg_id) const
 {
-    for (const auto &[seg, id] : node(parent).children) {
-        if (seg == seg_id)
+    for (NodeId id = node(parent).firstChild; id != kInvalid;
+         id = node(id).nextSibling) {
+        if (node(id).segId == seg_id)
             return id;
     }
     return kInvalid;
@@ -137,7 +140,7 @@ KvCacheManager::setRootTokens(int tokens)
     assert(tokens >= 0);
     // Prefix sums are cached at createChild time, so the mount must
     // precede the first child.
-    assert(node(kRoot).children.empty());
+    assert(node(kRoot).firstChild == kInvalid);
     // The blocks stay with the global PrefixIndex: residentTokens_ /
     // residentBytes() deliberately exclude the mount, exactly like
     // the root's previous zero-token anchor.
@@ -148,23 +151,16 @@ KvCacheManager::NodeId
 KvCacheManager::createChild(NodeId parent, uint64_t seg_id, int tokens)
 {
     assert(parent >= 0 && parent < static_cast<NodeId>(nodes_.size()));
-    NodeId id;
-    if (!freeList_.empty()) {
-        id = freeList_.back();
-        freeList_.pop_back();
-        node(id) = Node();
-    } else {
-        id = static_cast<NodeId>(nodes_.size());
-        nodes_.emplace_back();
-    }
-    Node &n = node(id);
+    static_assert(std::is_trivially_copyable_v<Node>);
+    const auto id = static_cast<NodeId>(nodes_.size());
+    Node &n = nodes_.emplace_back();
+    Node &p = node(parent);
     n.segId = seg_id;
     n.parent = parent;
     n.tokens = tokens;
-    const Node &p = node(parent);
     n.prefixTokens = p.prefixTokens + p.tokens;
-    node(parent).children.emplace_back(seg_id, id);
-    ++liveNodes_;
+    n.nextSibling = p.firstChild;
+    p.firstChild = id;
     return id;
 }
 
@@ -184,17 +180,19 @@ KvCacheManager::pathTokens(NodeId leaf) const
 void
 KvCacheManager::shiftDescendantPrefixes(NodeId id, int delta)
 {
-    if (delta == 0 || node(id).children.empty())
+    if (delta == 0 || node(id).firstChild == kInvalid)
         return;
     dfsScratch_.clear();
-    for (const auto &[seg, child] : node(id).children)
-        dfsScratch_.push_back(child);
+    dfsScratch_.push_back(node(id).firstChild);
     while (!dfsScratch_.empty()) {
         const NodeId cur = dfsScratch_.back();
         dfsScratch_.pop_back();
-        node(cur).prefixTokens += delta;
-        for (const auto &[seg, child] : node(cur).children)
-            dfsScratch_.push_back(child);
+        Node &n = node(cur);
+        n.prefixTokens += delta;
+        if (n.nextSibling != kInvalid)
+            dfsScratch_.push_back(n.nextSibling);
+        if (n.firstChild != kInvalid)
+            dfsScratch_.push_back(n.firstChild);
     }
 }
 
@@ -219,9 +217,18 @@ KvCacheManager::appendTokens(NodeId id, int delta, uint64_t tick,
             ? 0
             : blocksForTokens(new_tokens, blockTokens_) - n.blocksHeld;
         if (need > 0) {
-            if (freeBlocks() < need
-                && (!allow_evict || !reclaim(need))) {
-                return false;
+            if (freeBlocks() < need) {
+                if (!allow_evict)
+                    return false;
+                // Pinned for the reclaim: an unreferenced node must not
+                // be evicted as its own victim mid-append.
+                ++n.refCount;
+                const bool reclaimed = reclaim(need);
+                --n.refCount;
+                if (n.refCount == 0)
+                    maybeEnqueueVictim(id);
+                if (!reclaimed)
+                    return false;
             }
             if (!allocateBlocks(need))
                 return false;
@@ -232,9 +239,18 @@ KvCacheManager::appendTokens(NodeId id, int delta, uint64_t tick,
     }
     n.tokens = new_tokens;
     unsharedTokens_ += static_cast<long>(delta) * n.refCount;
-    if (!n.children.empty())
+    if (n.firstChild != kInvalid)
         shiftDescendantPrefixes(id, delta);
     return true;
+}
+
+int
+KvCacheManager::appendRoom(NodeId id) const
+{
+    const Node &n = node(id);
+    if (!n.resident)
+        return 0;
+    return static_cast<int>(n.blocksHeld) * blockTokens_ - n.tokens;
 }
 
 void
@@ -273,8 +289,8 @@ KvCacheManager::release(NodeId leaf)
         Node &n = node(id);
         assert(n.refCount > 0);
         --n.refCount;
-        // Nodes are never erased while a request runs: beams keep
-        // (unpinned) references to their leaves and may re-touch them.
+        // Nodes are never erased: beams keep (unpinned) references to
+        // their leaves and may re-touch them.
         // Unreferenced resident nodes simply become eviction victims.
         if (n.refCount == 0 && n.resident)
             maybeEnqueueVictim(id);
@@ -291,8 +307,7 @@ KvCacheManager::refCount(NodeId id) const
 bool
 KvCacheManager::evictable(const Node &n) const
 {
-    return n.resident && !n.erased && n.refCount == 0
-        && n.residentChildren == 0;
+    return n.resident && n.refCount == 0 && n.residentChildren == 0;
 }
 
 void
@@ -351,12 +366,12 @@ KvCacheManager::reclaim(size_t need_blocks)
         while (!victims_.empty()) {
             const auto [tick, id] = victims_.top();
             Node &n = node(id);
-            if (!n.erased && evictable(n) && n.lastUse == tick)
+            if (evictable(n) && n.lastUse == tick)
                 break;
             victims_.pop();
             n.inVictimHeap = false;
             ++stats_.staleVictimEntries;
-            if (!n.erased && evictable(n)) {
+            if (evictable(n)) {
                 // Still a candidate, just under an outdated key:
                 // re-arm it with the current lastUse.
                 victims_.emplace(n.lastUse, id);
@@ -370,10 +385,8 @@ KvCacheManager::reclaim(size_t need_blocks)
             // evictability may have changed without an enqueue event);
             // nodes already queued are skipped by maybeEnqueueVictim.
             for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size());
-                 ++id) {
-                if (!node(id).erased)
-                    maybeEnqueueVictim(id);
-            }
+                 ++id)
+                maybeEnqueueVictim(id);
             rescanned = true;
             if (victims_.empty())
                 return false;
@@ -526,7 +539,7 @@ KvCacheManager::forceEvictAll()
     for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
         Node &n = node(id);
         n.inVictimHeap = false;
-        if (n.erased || !n.resident)
+        if (!n.resident)
             continue;
         releaseBlocks(n.blocksHeld);
         n.blocksHeld = 0;
@@ -555,7 +568,7 @@ KvCacheManager::swapOutResident()
     double bytes = 0;
     for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
         const Node &n = node(id);
-        if (n.erased || !n.resident || n.tokens <= 0)
+        if (!n.resident || n.tokens <= 0)
             continue;
         const double node_bytes = n.tokens * kvBytesPerToken_;
         if (tier_->swapOut(tierOwner_, id, n.tokens, node_bytes)) {
@@ -576,7 +589,7 @@ KvCacheManager::residentFrontier() const
     std::vector<NodeId> frontier;
     for (NodeId id = 1; id < static_cast<NodeId>(nodes_.size()); ++id) {
         const Node &n = node(id);
-        if (!n.erased && n.resident && n.residentChildren == 0)
+        if (n.resident && n.residentChildren == 0)
             frontier.push_back(id);
     }
     return frontier;
@@ -598,7 +611,7 @@ KvCacheManager::residentPrefixTokens(NodeId leaf) const
 int
 KvCacheManager::nodeCount() const
 {
-    return liveNodes_;
+    return static_cast<int>(nodes_.size()) - 1;
 }
 
 int
@@ -644,6 +657,84 @@ size_t
 KvCacheManager::blocksFor(int tokens) const
 {
     return blocksForTokens(tokens, blockTokens_);
+}
+
+std::string
+KvCacheManager::checkInvariants() const
+{
+    std::ostringstream err;
+    const auto count = static_cast<NodeId>(nodes_.size());
+    long resident_tokens = 0;
+    long unshared = 0;
+    int resident_nodes = 0;
+    size_t blocks = 0;
+    int linked = 0;
+    int victim_flags = 0;
+    for (NodeId id = 0; id < count && err.tellp() == 0; ++id) {
+        const Node &n = node(id);
+        int resident_children = 0;
+        for (NodeId c = n.firstChild; c != kInvalid; c = node(c).nextSibling) {
+            if (c <= kRoot || c >= count || node(c).parent != id) {
+                err << "node " << id << " lists child " << c
+                    << " whose parent is not " << id;
+                break;
+            }
+            ++linked;
+            resident_children += node(c).resident ? 1 : 0;
+        }
+        if (n.residentChildren != resident_children) {
+            err << "node " << id << " residentChildren "
+                << n.residentChildren << " != " << resident_children;
+        }
+        victim_flags += n.inVictimHeap ? 1 : 0;
+        blocks += n.blocksHeld;
+        if (id == kRoot) {
+            unshared += static_cast<long>(n.tokens) * (n.refCount - 1);
+            continue;
+        }
+        const Node &p = node(n.parent);
+        if (n.prefixTokens != p.prefixTokens + p.tokens) {
+            err << "node " << id << " prefixTokens " << n.prefixTokens
+                << " != " << p.prefixTokens + p.tokens;
+        }
+        if (n.blocksHeld
+            != (n.resident ? blocksForTokens(n.tokens, blockTokens_) : 0)) {
+            err << "node " << id << " holds " << n.blocksHeld
+                << " blocks for " << n.tokens << " tokens (resident "
+                << n.resident << ")";
+        }
+        if (n.resident && !p.resident)
+            err << "node " << id << " is resident under evicted " << n.parent;
+        unshared += static_cast<long>(n.tokens) * n.refCount;
+        if (n.resident) {
+            resident_tokens += n.tokens;
+            ++resident_nodes;
+        }
+    }
+    if (err.tellp() != 0)
+        return err.str();
+    if (linked != count - 1)
+        err << linked << " nodes linked under a parent, expected "
+            << count - 1;
+    else if (residentTokens_ != resident_tokens)
+        err << "residentTokens " << residentTokens_ << " != "
+            << resident_tokens;
+    else if (residentCount_ != resident_nodes)
+        err << "residentCount " << residentCount_ << " != " << resident_nodes;
+    else if (unsharedTokens_ != unshared)
+        err << "unsharedTokens " << unsharedTokens_ << " != " << unshared;
+    else if (blocks != alloc_.used())
+        err << "nodes hold " << blocks << " blocks, allocator used "
+            << alloc_.used();
+    else if (static_cast<size_t>(victim_flags) != victims_.size())
+        err << victim_flags << " nodes flagged in the victim heap of "
+            << victims_.size();
+    else if (std::abs(ledgerCharged_
+                      - (ledger_ != nullptr ? residentBytes() : 0.0))
+             > 0.5 + 1e-9 * ledgerCharged_)
+        err << "ledger charge " << ledgerCharged_ << " != resident bytes "
+            << residentBytes();
+    return err.str();
 }
 
 } // namespace fasttts

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "kv/block_allocator.h"
@@ -140,7 +141,8 @@ class KvCacheManager
     // Tree structure
     // ------------------------------------------------------------------
 
-    /** Child of parent holding segment seg_id, or kInvalid. */
+    /** Child of parent holding segment seg_id, or kInvalid (the most
+     *  recently created one if several children share seg_id). */
     [[nodiscard]] NodeId childOf(NodeId parent, uint64_t seg_id) const;
 
     /**
@@ -185,6 +187,14 @@ class KvCacheManager
      */
     [[nodiscard]] bool appendTokens(NodeId node, int delta, uint64_t tick,
                                     bool allow_evict = true);
+
+    /**
+     * Tokens a resident node can still grow by inside the blocks it
+     * already holds (0 when not resident). An append of at most this
+     * many tokens allocates nothing and cannot fail, so a caller may
+     * batch such appends and apply them later in one call.
+     */
+    [[nodiscard]] int appendRoom(NodeId node) const;
 
     /** Shrink a leaf segment (speculative-token truncation). */
     void truncateTokens(NodeId node, int new_tokens);
@@ -288,7 +298,8 @@ class KvCacheManager
     /** Running statistics. */
     [[nodiscard]] const KvStats &stats() const { return stats_; }
 
-    /** Number of live (not erased) nodes, excluding root. O(1). */
+    /** Number of nodes ever created, excluding root. O(1). Nodes are
+     *  never erased: they live until the manager is destroyed. */
     [[nodiscard]] int nodeCount() const;
 
     /** Number of resident nodes, excluding root. */
@@ -333,24 +344,37 @@ class KvCacheManager
      */
     void compactVictims();
 
+    /**
+     * Recompute every counter and link from the nodes and compare:
+     * resident tokens and nodes, the unshared-token counter, each
+     * node's resident-children count and cached prefix sum, parent and
+     * sibling links, held blocks against the allocator's used count
+     * and the shared-ledger charge. O(nodes); for tests.
+     * @return The first mismatch found, or an empty string.
+     */
+    [[nodiscard]] std::string checkInvariants() const;
+
   private:
+    // Trivially copyable: children form an intrusive singly linked
+    // list (firstChild, then nextSibling, newest first), so creating a
+    // node allocates nothing beyond amortised growth of nodes_.
     struct Node
     {
         uint64_t segId = 0;
+        uint64_t lastUse = 0;
+        size_t blocksHeld = 0;
         NodeId parent = kInvalid;
-        std::vector<std::pair<uint64_t, NodeId>> children;
+        NodeId firstChild = kInvalid;
+        NodeId nextSibling = kInvalid;
         int tokens = 0;
         int prefixTokens = 0; //!< Path tokens of all strict ancestors.
-        size_t blocksHeld = 0;
         int refCount = 0;
         int residentChildren = 0;
         bool resident = false;
-        bool erased = false;
         bool inVictimHeap = false; //!< Has exactly one victims_ entry.
         bool evictedOnce = false;  //!< Lost residency at least once
                                    //!< (LRU or preemption), so its next
                                    //!< materialisation is a re-prefill.
-        uint64_t lastUse = 0;
     };
 
     Node &node(NodeId id) { return nodes_[static_cast<size_t>(id)]; }
@@ -389,11 +413,9 @@ class KvCacheManager
     double pendingSwapSeconds_ = 0;    //!< Outbound copy time not yet
                                        //!< drained onto a clock.
     std::vector<Node> nodes_;
-    std::vector<NodeId> freeList_;
     KvStats stats_;
     int residentCount_ = 0;   //!< Resident nodes, excluding root.
     long residentTokens_ = 0; //!< Unique resident tokens.
-    int liveNodes_ = 0;       //!< Live nodes, excluding root.
     long unsharedTokens_ = 0; //!< Sum of tokens * refCount over nodes.
     std::vector<NodeId> dfsScratch_;  //!< Reused by prefix propagation.
     std::vector<NodeId> pathScratch_; //!< Reused by ensureResident.

@@ -10,6 +10,11 @@
  * (as a hex-float, so every bit counts) and every iteration's
  * unique/unshared working set against tests/golden/event_loop.txt.
  *
+ * After every engine iteration both KV trees must also pass
+ * KvCacheManager::checkInvariants(): the event loop defers KV appends
+ * that fit the held blocks, and every deferred token must be applied
+ * by the time an iteration returns.
+ *
  * The simulation is deterministic, so any difference is a behaviour
  * change of the engine. A deliberate change regenerates the file from
  * the "actual" lines this test prints on mismatch.
@@ -63,6 +68,29 @@ render(const std::string &config, int request, const RequestResult &r,
     return out.str();
 }
 
+/** Both KV trees of the mounted request are internally consistent. */
+void
+expectConsistentTrees(const FastTtsEngine &engine, const std::string &where)
+{
+    EXPECT_EQ(engine.generatorKv().checkInvariants(), "")
+        << "generator tree, " << where;
+    EXPECT_EQ(engine.verifierKv().checkInvariants(), "")
+        << "verifier tree, " << where;
+}
+
+/** One request served to completion, trees checked every iteration
+ *  (the same calls as FastTtsEngine::runRequest). */
+RequestResult
+serveChecked(FastTtsEngine &engine, const Problem &problem,
+             const std::string &where)
+{
+    engine.beginRequest(problem);
+    while (engine.stepRequest())
+        expectConsistentTrees(engine, where);
+    expectConsistentTrees(engine, where);
+    return engine.finishRequest();
+}
+
 /** An engine plus the search algorithm and dataset it borrows. */
 struct Rig
 {
@@ -72,12 +100,12 @@ struct Rig
     std::vector<Problem> problems;
 
     Rig(const FastTtsConfig &config, const std::string &dataset, int beams,
-        int problem_count)
+        int problem_count, const ModelConfig &models = config1_5Bplus1_5B())
         : profile(*datasetByName(dataset)),
           algorithm(*makeAlgorithm("beam_search", beams, 4))
     {
         engine = std::make_unique<FastTtsEngine>(
-            config, config1_5Bplus1_5B(), rtx4090(), profile, *algorithm);
+            config, models, rtx4090(), profile, *algorithm);
         problems = makeProblems(profile, problem_count, 2026);
     }
 
@@ -87,8 +115,9 @@ struct Rig
                     std::vector<std::string> &lines)
     {
         for (size_t i = 0; i < order.size(); ++i) {
-            const RequestResult r = engine->runRequest(
-                problems[static_cast<size_t>(order[i])]);
+            const RequestResult r = serveChecked(
+                *engine, problems[static_cast<size_t>(order[i])],
+                config + " request " + std::to_string(i));
             lines.push_back(render(config, static_cast<int>(i), r,
                                    engine->iterationStats()));
         }
@@ -130,7 +159,10 @@ actualLines()
                 if (!parked[r].valid())
                     continue; // Finished.
                 engine.resumeRequest(std::move(parked[r]));
-                if (engine.stepRequest()) {
+                const bool more = engine.stepRequest();
+                expectConsistentTrees(engine, "aime32_host_tier request "
+                                                  + std::to_string(r));
+                if (more) {
                     parked[r] = engine.suspendRequest();
                     parked[r].evictKv();
                     continue;
@@ -172,10 +204,32 @@ actualLines()
     return lines;
 }
 
+/**
+ * Configurations where the generator pool is oversubscribed, so waves
+ * evict, speculation is killed mid-phase and preempted beams re-queue.
+ * The LRU order there depends on the tick every KV node was last
+ * touched at, so these lines pin the deferred appends' ticks too.
+ */
 std::vector<std::string>
-goldenLines()
+pressureLines()
 {
-    std::ifstream in(FASTTTS_GOLDEN_DIR "/event_loop.txt");
+    std::vector<std::string> lines;
+    {   // A 7B verifier squeezes the generator's share of the budget.
+        Rig rig(FastTtsConfig::fastTts(), "AIME", 48, 2,
+                config1_5Bplus7B());
+        rig.serveSequential("aime48_7b_verifier", {0, 1}, lines);
+    }
+    {   // A wide search outgrows the generator pool.
+        Rig rig(FastTtsConfig::fastTts(), "AIME", 96, 2);
+        rig.serveSequential("aime96", {0, 1}, lines);
+    }
+    return lines;
+}
+
+std::vector<std::string>
+goldenLines(const char *path)
+{
+    std::ifstream in(path);
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) {
@@ -185,18 +239,28 @@ goldenLines()
     return lines;
 }
 
-TEST(EventLoopGolden, RequestResultsMatchGoldenFile)
+void
+expectGolden(const char *path, const std::vector<std::string> &actual)
 {
-    const std::vector<std::string> golden = goldenLines();
-    const std::vector<std::string> actual = actualLines();
-    ASSERT_FALSE(golden.empty()) << "missing golden file "
-                                 << FASTTTS_GOLDEN_DIR "/event_loop.txt";
+    const std::vector<std::string> golden = goldenLines(path);
+    ASSERT_FALSE(golden.empty()) << "missing golden file " << path;
     EXPECT_EQ(golden.size(), actual.size());
     for (size_t i = 0; i < actual.size(); ++i) {
         const std::string expected = i < golden.size() ? golden[i] : "";
         EXPECT_EQ(expected, actual[i]) << "actual line " << i << ":\n"
                                        << actual[i];
     }
+}
+
+TEST(EventLoopGolden, RequestResultsMatchGoldenFile)
+{
+    expectGolden(FASTTTS_GOLDEN_DIR "/event_loop.txt", actualLines());
+}
+
+TEST(EventLoopGolden, MemoryPressureResultsMatchGoldenFile)
+{
+    expectGolden(FASTTTS_GOLDEN_DIR "/event_loop_pressure.txt",
+                 pressureLines());
 }
 
 TEST(EventLoopGolden, ServingTwiceIsBitIdentical)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "kv/kv_cache.h"
+#include "kv/kv_session.h"
 #include "util/rng.h"
 
 namespace fasttts
@@ -198,6 +199,46 @@ TEST(KvCache, AppendTokensGrowsBlocks)
     EXPECT_EQ(kv.allocator().used(), 2u);
     EXPECT_EQ(kv.nodeTokens(a), 17);
     EXPECT_EQ(kv.residentTokens(), 17);
+}
+
+TEST(KvCache, AppendRoomIsTheSlackOfTheHeldBlocks)
+{
+    auto kv = makeCache(1024);
+    const int a = kv.createChild(KvCacheManager::kRoot, 1, 20);
+    EXPECT_EQ(kv.appendRoom(a), 0); // Not resident: holds no blocks.
+    ASSERT_TRUE(kv.ensureResident(a, 1).ok);
+    EXPECT_EQ(kv.appendRoom(a), 12); // Two blocks hold 32 tokens.
+    EXPECT_TRUE(kv.appendTokens(a, 12, 2));
+    EXPECT_EQ(kv.allocator().used(), 2u);
+    EXPECT_EQ(kv.appendRoom(a), 0);
+    EXPECT_TRUE(kv.appendTokens(a, 1, 3));
+    EXPECT_EQ(kv.appendRoom(a), 15);
+    kv.truncateTokens(a, 16);
+    EXPECT_EQ(kv.appendRoom(a), 0);
+    EXPECT_EQ(kv.checkInvariants(), "");
+}
+
+TEST(KvCache, SiblingLinksReachEveryChild)
+{
+    auto kv = makeCache(1 << 16);
+    const int trunk = kv.createChild(KvCacheManager::kRoot, 1, 10);
+    std::vector<int> children;
+    for (uint64_t seg = 100; seg < 140; ++seg) {
+        children.push_back(kv.createChild(trunk, seg, 5));
+        (void)kv.createChild(children.back(), seg + 1000, 3);
+    }
+    for (size_t i = 0; i < children.size(); ++i)
+        EXPECT_EQ(kv.childOf(trunk, 100 + i), children[i]);
+    EXPECT_EQ(kv.childOf(trunk, 99), KvCacheManager::kInvalid);
+    // An interior append shifts the cached prefix of every descendant.
+    EXPECT_TRUE(kv.appendTokens(trunk, 7, 1));
+    for (int child : children) {
+        EXPECT_EQ(kv.pathTokens(child), 22);
+        EXPECT_EQ(kv.childOf(child, 100), KvCacheManager::kInvalid);
+    }
+    EXPECT_EQ(kv.pathTokens(kv.childOf(children[3], 1103)), 25);
+    EXPECT_EQ(kv.nodeCount(), 81);
+    EXPECT_EQ(kv.checkInvariants(), "");
 }
 
 TEST(KvCache, AppendToNonResidentNodeTracksTokensOnly)
@@ -488,6 +529,7 @@ TEST_P(KvCachePathCacheProperty, CachedAccountingMatchesFreshWalk)
             break;
         }
 
+        ASSERT_EQ(kv.checkInvariants(), "") << "after op " << op;
         // Spot-check one random node every op; full sweep periodically.
         const int probe = nodes[static_cast<size_t>(
             rng.uniformInt(0, static_cast<int>(nodes.size()) - 1))];
@@ -573,6 +615,7 @@ TEST_P(KvCacheProperty, InvariantsUnderRandomWorkload)
             }
             break;
         }
+        ASSERT_EQ(kv.checkInvariants(), "") << "after op " << op;
         // Invariant: used blocks never exceed the pool.
         ASSERT_LE(kv.allocator().used(), kv.allocator().total());
         // Invariant: resident tokens fit in the allocated blocks.
@@ -668,6 +711,8 @@ TEST_P(KvCacheCompactionProperty, CompactVictimsIsObservablyInert)
             compacted.compactVictims();
 
         ASSERT_EQ(ok_a, ok_b) << "op " << op;
+        ASSERT_EQ(plain.checkInvariants(), "") << "op " << op;
+        ASSERT_EQ(compacted.checkInvariants(), "") << "op " << op;
         ASSERT_EQ(nodes_a.size(), nodes_b.size());
         ASSERT_EQ(plain.allocator().used(), compacted.allocator().used())
             << "op " << op;
@@ -695,6 +740,93 @@ TEST_P(KvCacheCompactionProperty, CompactVictimsIsObservablyInert)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvCacheCompactionProperty,
+                         ::testing::Range(1, 9));
+
+/**
+ * Counter property under a shared ledger: two trees draw on one
+ * ledger smaller than their pools, so appends and touches fail, evict
+ * and re-materialise while whole-tree preemptions, victim-heap
+ * rebuilds and budget re-plans interleave. After every op each tree's
+ * counters, links, held blocks and ledger charge must match a fresh
+ * recomputation (KvCacheManager::checkInvariants).
+ */
+class KvCacheLedgerInvariantProperty : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(KvCacheLedgerInvariantProperty, CountersMatchRecomputation)
+{
+    Rng rng(static_cast<uint64_t>(GetParam()) * 0x2545F4914F6CDD1Dull);
+    KvBudgetLedger ledger(1536);
+    KvCacheManager trees[2] = {KvCacheManager(1024, kTokenByte, 16),
+                               KvCacheManager(1024, kTokenByte, 16)};
+    std::vector<int> nodes[2];
+    std::vector<int> pinned[2];
+    for (int t = 0; t < 2; ++t) {
+        trees[t].attachLedger(&ledger);
+        nodes[t].push_back(KvCacheManager::kRoot);
+    }
+    uint64_t seg = 1;
+    for (int op = 0; op < 1500; ++op) {
+        const int t = rng.uniformInt(0, 1);
+        KvCacheManager &kv = trees[t];
+        const auto tick = static_cast<uint64_t>(op);
+        const int node = nodes[t][static_cast<size_t>(
+            rng.uniformInt(0, static_cast<int>(nodes[t].size()) - 1))];
+        switch (rng.uniformInt(0, 9)) {
+          case 0:
+          case 1:
+            nodes[t].push_back(
+                kv.createChild(node, seg++, rng.uniformInt(0, 60)));
+            break;
+          case 2:
+          case 3:
+            (void)kv.ensureResident(node, tick);
+            break;
+          case 4:
+            if (node != KvCacheManager::kRoot) {
+                kv.retain(node);
+                pinned[t].push_back(node);
+            }
+            break;
+          case 5:
+            if (!pinned[t].empty()) {
+                const auto at = static_cast<size_t>(rng.uniformInt(
+                    0, static_cast<int>(pinned[t].size()) - 1));
+                kv.release(pinned[t][at]);
+                pinned[t].erase(pinned[t].begin()
+                                + static_cast<long>(at));
+            }
+            break;
+          case 6:
+            if (node != KvCacheManager::kRoot)
+                (void)kv.appendTokens(node, rng.uniformInt(0, 40), tick,
+                                      rng.bernoulli(0.5));
+            break;
+          case 7:
+            if (node != KvCacheManager::kRoot)
+                kv.truncateTokens(node,
+                                  rng.uniformInt(0, kv.nodeTokens(node)));
+            break;
+          case 8:
+            if (rng.bernoulli(0.1))
+                (void)kv.forceEvictAll();
+            else
+                kv.compactVictims();
+            break;
+          default:
+            kv.setBudgetBytes(rng.uniformInt(512, 1024));
+            break;
+        }
+        for (int u = 0; u < 2; ++u) {
+            ASSERT_EQ(trees[u].checkInvariants(), "")
+                << "tree " << u << " after op " << op;
+        }
+        ASSERT_LE(ledger.usedBytes(), 1536.5);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvCacheLedgerInvariantProperty,
                          ::testing::Range(1, 9));
 
 } // namespace
