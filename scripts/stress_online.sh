@@ -28,7 +28,11 @@
 # (--kv-tier host --victim-select cost --preempt slice), so every
 # context switch runs the roofline swap-vs-recompute decision and the
 # tier's swap-out/take/LRU-evict machinery races suspend, forced
-# eviction and lazy restore.
+# eviction and lazy restore. An eighth pass injects the same 5%
+# wave-step faults under time slicing with preemptive EDF and a
+# request watchdog (--preempt policy --faults plan --request-timeout
+# 600), so the time-sliced side of the serve loop aborts mounted and
+# parked requests alike and re-queues retries under the sanitizers.
 
 set -euo pipefail
 
@@ -52,7 +56,7 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
     --help | -h)
-        sed -n '2,31p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
+        sed -n '2,36p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//'
         exit 0
         ;;
     *)
@@ -138,5 +142,19 @@ echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
     --arrivals bursty --policy edf --preempt slice \
     --kv-tier host --host-kv-budget 0.5 --host-bandwidth 16 \
     --victim-select cost --kv-budget 0.25 --shed-doomed \
+    --max-inflight "${max_inflight}" --slo 2000 >/dev/null
+
+# Time-sliced fault storm: wave-step faults with retries plus a request
+# watchdog under preemptive EDF and a tight shared budget, so the
+# abort path (cancel, ledger refund, retry re-queue) runs for the
+# mounted request and the watchdog's for parked ones.
+echo "-- stress: ${requests} bursty requests, K=${max_inflight}," \
+    "policy=edf, preempt=policy, faults=plan (5% wave_step)," \
+    "retry-max=3, request-timeout=600, kv-budget=0.5 GiB, shed-doomed"
+"${bench}" --problems "${requests}" --beams 4 --dataset AMC \
+    --arrivals bursty --policy edf --preempt policy \
+    --faults plan \
+    --fault-plan '{"rules": [{"site": "wave_step", "rate": 0.05}]}' \
+    --retry-max 3 --request-timeout 600 --kv-budget 0.5 --shed-doomed \
     --max-inflight "${max_inflight}" --slo 2000 >/dev/null
 echo "-- scheduler stress passed (ASan+UBSan clean)"

@@ -482,11 +482,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         return problem;
     };
 
-    // --- Fault-tolerance state shared by both serve loops. All of it
-    //     is inert when faults == "off": the injector is null, the
-    //     watchdog is disabled by default and the retry queue never
-    //     gains an entry, so the loops run their legacy schedules
-    //     bit-for-bit. ---
+    // --- Fault-tolerance state. All of it is inert when faults ==
+    //     "off": the injector is null, the watchdog is disabled by
+    //     default and the retry queue never gains an entry, so the loop
+    //     runs its legacy schedules bit-for-bit. ---
     FaultInjector *injector = faults_.get();
     const long faults_before =
         injector != nullptr ? injector->injectedCount() : 0;
@@ -551,8 +550,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
 
     // Watchdog sweep over requests not yet in flight: queued and
     // backing-off requests older than the timeout are dropped (their
-    // in-flight counterparts are swept by each loop, which must also
-    // unwind engine state).
+    // in-flight counterparts must also unwind engine state).
     const auto sweepWaiting = [&](std::vector<Ticket> &queued,
                                   double at) {
         if (watchdog <= 0)
@@ -591,458 +589,68 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             ++degraded_episodes;
     };
 
-    // Fold fault accounting into the aggregated trace. Completed-only
-    // population stands for latency statistics, but SLO attainment
-    // must charge deadline-bearing requests that never completed as
-    // misses — a fault that silently removed its victim from the
-    // denominator would otherwise IMPROVE attainment.
-    const auto stampFaultStats = [&](OnlineTraceResult &out) {
-        if (injector != nullptr)
-            out.injectedFaults =
-                injector->injectedCount() - faults_before;
-        out.retries = retries;
-        out.timeouts = timeouts;
-        out.failedRequests = failed;
-        out.faultWastedTokens = fault_wasted;
-        out.degradedWaves = degraded_waves;
-        out.degradedTime = degraded_time;
-        out.degradedEpisodes = degraded_episodes;
-        if (failed_with_deadline > 0) {
-            int completed_with_deadline = 0;
-            for (const OnlineRequestRecord &rec : out.records)
-                if (rec.hasDeadline())
-                    ++completed_with_deadline;
-            const int met =
-                completed_with_deadline - out.deadlineMisses;
-            out.deadlineMisses += failed_with_deadline;
-            out.sloAttainment = static_cast<double>(met)
-                / (completed_with_deadline + failed_with_deadline);
+    // A wave of `seconds` device time ran; count it if degraded.
+    const auto countWave = [&](double seconds) {
+        if (degrade_enabled && degrade.degraded()) {
+            ++degraded_waves;
+            degraded_time += seconds;
         }
-        // The degraded engine mode must not leak into the next trace
-        // served by this server.
-        if (degrade_enabled)
-            system_.engine().setDegraded(false);
     };
 
-    // --- Continuous batching: every wave co-schedules decode across
-    //     ALL in-flight requests in one fused engine wave
-    //     (sched/batch_scheduler.h); the time-slicing loop below is
-    //     bypassed entirely. Admission (policy pick, doomed shedding,
-    //     memory gate) is identical to the time-sliced path. ---
-    if (online_.batching == "continuous") {
-        const BatchScheduler scheduler(online_.maxBatchedTokens,
-                                       online_.prefillChunk);
-        const double step_tokens =
-            std::max(1.0, system_.engine().expectedStepTokens());
+    // --- The serve loop. Both batching modes share arrival intake,
+    //     the watchdog, admission, idling, the cost-aware victim sweep,
+    //     completion accounting and the epilogue. They differ only in
+    //     how a wave runs — continuous batching plans one fused
+    //     stepBatch() wave over every in-flight request (long prompts
+    //     fed in prefillChunk slices, sched/batch_scheduler.h); time
+    //     slicing chooses one request by preempt mode, mounts it and
+    //     step()s it — and in the admission-order eviction sweep. ---
+    const bool continuous = online_.batching == "continuous";
+    const BatchScheduler scheduler(online_.maxBatchedTokens,
+                                   online_.prefillChunk);
+    const double step_tokens =
+        std::max(1.0, system_.engine().expectedStepTokens());
 
-        struct BatchFlight
-        {
-            Ticket ticket;
-            RequestId sysId = 0;
-            bool started = false; //!< rec.start stamped at the first
-                                  //!< wave that scheduled the request.
-            bool benched = false; //!< Force-evicted under memory
-                                  //!< pressure; sits waves out until
-                                  //!< the ledger can hold its
-                                  //!< predicted working set again.
-            long decoded = 0;     //!< Decode tokens this attempt has
-                                  //!< produced (wasted if killed).
-            double lastRunAt = 0; //!< Wave end of its last decode
-                                  //!< (cost-aware victim recency).
-            double peakKvBytes = 0; //!< Largest observed residency
-                                    //!< (EWMA calibration).
-            OnlineRequestRecord rec;
-        };
-
-        std::vector<Ticket> queued;
-        std::vector<BatchFlight> inflight;
-        std::vector<OnlineRequestRecord> records;
-        records.reserve(tickets.size());
-        std::vector<QueuedRequest> view; // pick() scratch.
-        size_t next_ticket = 0;
-        double now = 0;
-        double busy = 0;
-        int cancelled = 0;
-        int shed = 0;
-        long recomputed_tokens = 0;
-        long reprefilled_tokens = 0;
-        long preempt_evicted = 0;
-        long verified_tokens = 0;
-        long prefix_hit_tokens = 0;
-        long swapped_out_tokens = 0;
-        long swapped_in_tokens = 0;
-        double swap_transfer_time = 0;
-        long waves = 0;
-        long decode_members = 0;
-        const size_t max_inflight =
-            static_cast<size_t>(online_.maxInflight);
-
-        while (true) {
-            if (injector != nullptr)
-                injector->setNow(now);
-            while (next_ticket < tickets.size()
-                   && tickets[next_ticket].meta.arrival <= now)
-                queued.push_back(tickets[next_ticket++]);
-            drainRetryQueue(queued, now);
-
-            for (size_t i = queued.size(); i > 0; --i) {
-                const double cancel_at = queued[i - 1].cancelAt;
-                if (cancel_at >= 0 && cancel_at <= now) {
-                    queued.erase(queued.begin()
-                                 + static_cast<long>(i - 1));
-                    ++cancelled;
-                }
-            }
-
-            // Watchdog: abort requests older than the timeout.
-            // In-flight members are unwound through cancelWith, which
-            // refunds their KV charge and prefix pins exactly (the
-            // abnormal-exit path never publishes their prompt).
-            sweepWaiting(queued, now);
-            if (watchdog > 0) {
-                for (size_t i = inflight.size(); i > 0; --i) {
-                    BatchFlight &flight = inflight[i - 1];
-                    if (now - flight.rec.arrival <= watchdog)
-                        continue;
-                    ++timeouts;
-                    if (std::isfinite(flight.rec.deadline))
-                        ++failed_with_deadline;
-                    fault_wasted += flight.decoded;
-                    checkOk(system_.cancelWith(
-                        flight.sysId,
-                        Status::deadlineExceeded(
-                            "request exceeded --request-timeout")));
-                    checkOk(system_.release(flight.sysId));
-                    inflight.erase(inflight.begin()
-                                   + static_cast<long>(i - 1));
-                }
-            }
-
-            // Degraded mode halves the admission ceiling: fewer
-            // co-resident requests means each kill wastes less decode
-            // work and retries re-enter a calmer batch.
-            const size_t effective_inflight =
-                degrade_enabled && degrade.degraded()
-                    ? std::max<size_t>(1, max_inflight / 2)
-                    : max_inflight;
-            while (!queued.empty()
-                   && inflight.size() < effective_inflight) {
-                view.clear();
-                for (const Ticket &ticket : queued)
-                    view.push_back(ticket.meta);
-                size_t pick = policy_->pick(view, now);
-                if (pick >= queued.size())
-                    pick = 0; // Defensive against custom policies.
-                const Ticket ticket = queued[pick];
-                if (online_.shedDoomed
-                    && std::isfinite(ticket.meta.deadline)
-                    && now + ticket.meta.predictedCost
-                        > ticket.meta.deadline) {
-                    queued.erase(queued.begin()
-                                 + static_cast<long>(pick));
-                    ++shed;
-                    continue;
-                }
-                if (memory_aware && !inflight.empty()) {
-                    double inflight_kv = 0;
-                    for (const BatchFlight &f : inflight)
-                        inflight_kv += effectiveKv(f.ticket.kvBytes);
-                    if (inflight_kv + effectiveKv(ticket.kvBytes)
-                        > ledger_->totalBytes())
-                        break; // Wait for completions.
-                }
-                queued.erase(queued.begin() + static_cast<long>(pick));
-                BatchFlight flight;
-                flight.ticket = ticket;
-                flight.lastRunAt = now;
-                flight.rec.problemId = ticket.meta.problemId;
-                flight.rec.arrival = ticket.meta.arrival;
-                flight.rec.priority = ticket.meta.priority;
-                flight.rec.deadline = ticket.meta.deadline;
-                flight.sysId = system_.submit(ticketProblem(ticket));
-                // Park it immediately with a deferred prompt: the
-                // scheduler feeds the prompt in chunks so it never
-                // stalls the decoders already in the batch.
-                checkOk(system_.startSuspended(flight.sysId,
-                                               /*defer_prompt=*/true));
-                inflight.push_back(std::move(flight));
-            }
-
-            if (inflight.empty()) {
-                if (next_ticket >= tickets.size()
-                    && retry_queue.empty() && queued.empty())
-                    break; // Trace drained.
-                // Idle until the next arrival OR the next retry
-                // becomes eligible, whichever is sooner.
-                double next_event = kInfinity;
-                if (next_ticket < tickets.size())
-                    next_event = tickets[next_ticket].meta.arrival;
-                for (const RetryEntry &entry : retry_queue)
-                    next_event = std::min(next_event, entry.eligibleAt);
-                if (!std::isfinite(next_event))
-                    break; // Defensive: nothing can ever run.
-                now = std::max(now, next_event);
-                continue;
-            }
-
-            // Under budget pressure the later-admitted members are
-            // force-evicted and benched. Benching is sticky with
-            // hysteresis: a member returns only when the ledger can
-            // hold its predicted working set on top of double the
-            // pressure threshold — re-admitting it the moment its own
-            // eviction freed the room would lazily re-prefill its KV,
-            // re-create the pressure and evict it again, paying the
-            // recompute forever. The oldest member always runs (a
-            // benched member that becomes oldest after a completion
-            // is released), so a thrashing batch degenerates to the
-            // time-sliced server's one-resident-working-set shape
-            // instead of deadlocking or ping-ponging.
-            if (memory_aware) {
-                const double headroom = 0.10 * ledger_->totalBytes();
-                // A benched member that became front after a
-                // completion is force-returned (the progress
-                // guarantee: the oldest member always runs, so nobody
-                // starves). Remembered so the hysteresis rule below
-                // cannot clear the same flag twice.
-                const bool front_returned = inflight.front().benched;
-                inflight.front().benched = false;
-                if (!cost_victims) {
-                    // Legacy sweep: youngest-admitted member first.
-                    for (size_t i = inflight.size();
-                         i > 1 && ledger_->freeBytes() < headroom;
-                         --i) {
-                        if (inflight[i - 1].benched)
-                            continue;
-                        auto evicted = system_.evictSuspendedKv(
-                            inflight[i - 1].sysId);
-                        if (evicted.ok()) {
-                            preempt_evicted += *evicted;
-                            inflight[i - 1].benched = true;
-                        }
-                    }
-                } else if (ledger_->freeBytes() < headroom) {
-                    // Cost-aware sweep: bench the members whose KV is
-                    // cheapest to bring back (the front never benches
-                    // — it is the progress guarantee).
-                    std::vector<size_t> members;
-                    std::vector<VictimCandidate> candidates;
-                    for (size_t i = 1; i < inflight.size(); ++i) {
-                        if (inflight[i].benched)
-                            continue;
-                        auto info =
-                            system_.suspendedInfo(inflight[i].sysId);
-                        if (!info.ok() || info->residentKvBytes <= 0)
-                            continue;
-                        members.push_back(i);
-                        candidates.push_back(
-                            victimCost(info->residentKvBytes,
-                                       inflight[i].lastRunAt));
-                    }
-                    for (const size_t k :
-                         rankEvictionVictims(candidates)) {
-                        if (ledger_->freeBytes() >= headroom)
-                            break;
-                        BatchFlight &victim = inflight[members[k]];
-                        auto evicted =
-                            system_.evictSuspendedKv(victim.sysId);
-                        if (evicted.ok()) {
-                            preempt_evicted += *evicted;
-                            victim.benched = true;
-                        }
-                    }
-                }
-                // At most one return per wave, oldest benched first
-                // (pickBenchReturn holds the unit-tested contract).
-                std::vector<std::pair<bool, double>> wave;
-                wave.reserve(inflight.size());
-                for (const BatchFlight &flight : inflight)
-                    wave.emplace_back(flight.benched,
-                                      effectiveKv(flight.ticket.kvBytes));
-                const int back = pickBenchReturn(
-                    wave, ledger_->freeBytes(), headroom,
-                    front_returned);
-                if (back >= 0)
-                    inflight[static_cast<size_t>(back)].benched =
-                        false;
-            }
-
-            // Wave-step fault sweep: every member about to decode
-            // this wave probes the injector (benched members sit the
-            // wave out and are not at risk). A faulted member's
-            // attempt dies before the wave runs — it consumes no
-            // device time, its partial decode is wasted recompute and
-            // its KV/ledger/prefix pins are refunded by cancelWith.
-            if (injector != nullptr) {
-                for (size_t i = inflight.size(); i > 0; --i) {
-                    BatchFlight &flight = inflight[i - 1];
-                    if (flight.benched)
-                        continue;
-                    const bool fault = injector->shouldFault(
-                        FaultSite::kWaveStep,
-                        static_cast<long>(flight.ticket.meta.id));
-                    if (degrade_enabled)
-                        degrade.record(fault);
-                    if (!fault)
-                        continue;
-                    fault_wasted += flight.decoded;
-                    checkOk(system_.cancelWith(
-                        flight.sysId,
-                        Status::unavailable(
-                            "injected transient device error")));
-                    checkOk(system_.release(flight.sysId));
-                    scheduleRetry(flight.ticket, now);
-                    inflight.erase(inflight.begin()
-                                   + static_cast<long>(i - 1));
-                }
-                updateDegraded();
-                if (inflight.empty())
-                    continue; // Loop top re-admits / idles.
-            }
-
-            std::vector<RequestId> ids;
-            ids.reserve(inflight.size());
-            std::vector<BatchCandidate> candidates;
-            candidates.reserve(inflight.size());
-            for (size_t i = 0; i < inflight.size(); ++i) {
-                ids.push_back(inflight[i].sysId);
-                if (inflight[i].benched)
-                    continue;
-                const auto info =
-                    system_.suspendedInfo(inflight[i].sysId);
-                if (calibrate_kv)
-                    inflight[i].peakKvBytes =
-                        std::max(inflight[i].peakKvBytes,
-                                 info->residentKvBytes);
-                BatchCandidate candidate;
-                candidate.member = i;
-                candidate.promptRemaining = info->promptTokensPending;
-                candidate.prefixKey = info->prefixKey;
-                candidate.decodeTokens = std::max(
-                    1, static_cast<int>(
-                           std::max(1, info->activeBeams)
-                           * step_tokens));
-                candidates.push_back(candidate);
-            }
-
-            const BatchPlan plan = scheduler.plan(candidates);
-            auto outcome = system_.stepBatch(ids, plan);
-            if (!outcome.ok())
-                return outcome.status(); // Unreachable: all suspended.
-
-            ++waves;
-            decode_members += plan.decodeMembers();
-            const double wave_start = now;
-            now += outcome->schedule.waveTime;
-            busy += outcome->schedule.waveTime;
-            if (degrade_enabled && degrade.degraded()) {
-                ++degraded_waves;
-                degraded_time += outcome->schedule.waveTime;
-            }
-
-            for (size_t i = inflight.size(); i > 0; --i) {
-                const size_t idx = i - 1;
-                const BatchMemberOutcome &member =
-                    outcome->members[idx];
-                if (!member.participated)
-                    continue;
-                BatchFlight &flight = inflight[idx];
-                if (!flight.started) {
-                    flight.rec.start = wave_start;
-                    flight.started = true;
-                }
-                flight.rec.activeTime += member.activeDelta;
-                flight.decoded += member.decodedTokens;
-                flight.lastRunAt = now;
-                if (member.moreWork)
-                    continue;
-                // Finished this wave (stepBatch completed it).
-                flight.rec.finish = now;
-                auto result = system_.result(flight.sysId);
-                if (result.ok()) {
-                    verified_tokens += result->verifiedTokens;
-                    recomputed_tokens += static_cast<long>(
-                        result->kvStats.recomputedTokens);
-                    reprefilled_tokens += static_cast<long>(
-                        result->kvStats.reprefilledTokens);
-                    prefix_hit_tokens += static_cast<long>(
-                        result->kvStats.prefixHitTokens);
-                    swapped_out_tokens += static_cast<long>(
-                        result->kvStats.swappedOutTokens);
-                    swapped_in_tokens += static_cast<long>(
-                        result->kvStats.swappedInTokens);
-                    swap_transfer_time +=
-                        result->kvStats.swapTransferTime;
-                    calibrateKv(flight.ticket.kvBytes,
-                                flight.peakKvBytes);
-                    if (results_sink)
-                        results_sink->push_back(*std::move(result));
-                }
-                records.push_back(flight.rec);
-                checkOk(system_.release(flight.sysId));
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(idx));
-            }
-        }
-
-        // Trace drained: drop the engine's idle context so the last
-        // finished request's KV charge leaves the shared ledger (only
-        // the prefix cache's own residency may remain).
-        system_.engine().releaseFinishedKv();
-
-        OnlineTraceResult out =
-            aggregateTrace(std::move(records), busy);
-        out.cancelled = cancelled;
-        out.shedRequests = shed;
-        out.recomputedTokens = recomputed_tokens;
-    out.reprefilledTokens = reprefilled_tokens;
-        out.reprefilledTokens = reprefilled_tokens;
-        out.preemptEvictedTokens = preempt_evicted;
-        out.verifiedTokens = verified_tokens;
-        out.prefixHitTokens = prefix_hit_tokens;
-        out.swappedOutTokens = swapped_out_tokens;
-        out.swappedInTokens = swapped_in_tokens;
-        out.swapTransferTime = swap_transfer_time;
-        out.batchOccupancy = waves > 0
-            ? static_cast<double>(decode_members)
-                / static_cast<double>(waves)
-            : 0.0;
-        stampFaultStats(out);
-        return out;
-    }
-
-    // --- In-flight bookkeeping. Callbacks capture their box's
-    //     address, so boxes live behind stable unique_ptrs. ---
-    struct FlightBox
-    {
-        double clock = 0; //!< Engine clock after the last iteration.
-        bool finished = false;
-        RequestResult result;
-    };
-
-    struct InFlight
+    struct Flight
     {
         Ticket ticket;
-        RequestId sysId = 0; //!< 0 until first mounted on the engine.
-        double wallBase = 0; //!< Wall time of the request's engine
-                             //!< clock zero: start + slices the device
-                             //!< spent on other requests since.
-        double lastRunAt = 0; //!< End of its last engine slice
-                              //!< (cost-aware victim recency).
+        RequestId sysId = 0;  //!< 0 until submitted to the engine.
+        bool started = false; //!< rec.start stamped at the first wave
+                              //!< that scheduled the request
+                              //!< (continuous batching).
+        bool benched = false; //!< KV force-evicted under memory
+                              //!< pressure and not run since; under
+                              //!< continuous batching it sits waves
+                              //!< out until the ledger can hold its
+                              //!< predicted working set again.
+        long decoded = 0;     //!< Decode tokens this attempt has
+                              //!< produced (wasted if killed).
+        double clock = 0;     //!< Engine clock after its last slice
+                              //!< (time slicing).
+        double wallBase = 0;  //!< Wall time of the request's engine
+                              //!< clock zero: start + slices the device
+                              //!< spent on other requests since (time
+                              //!< slicing).
+        double lastRunAt = 0; //!< End of its last wave (cost-aware
+                              //!< victim recency).
         double peakKvBytes = 0; //!< Largest observed residency
                                 //!< (EWMA calibration).
         OnlineRequestRecord rec;
-        std::unique_ptr<FlightBox> box;
     };
 
     constexpr size_t kNone = static_cast<size_t>(-1);
     std::vector<Ticket> queued;
-    std::vector<InFlight> inflight;
+    std::vector<Flight> inflight;
     std::vector<OnlineRequestRecord> records;
     records.reserve(tickets.size());
-    std::vector<QueuedRequest> view; // pick() scratch.
+    std::vector<QueuedRequest> view;          // pick() scratch.
+    std::vector<RequestId> ids;               // stepBatch() scratch.
+    std::vector<BatchCandidate> candidates;   // plan() scratch.
+    std::vector<std::pair<bool, double>> bench_view; // pickBenchReturn().
     size_t next_ticket = 0;
-    size_t rr = 0;        //!< Round-robin cursor (slice mode).
-    size_t current = kNone; //!< In-flight index mounted on the engine.
+    size_t rr = 0;          //!< Round-robin cursor (slice mode).
+    size_t current = kNone; //!< In-flight index mounted on the engine
+                            //!< (time slicing).
     double now = 0;
     double busy = 0;
     int cancelled = 0;
@@ -1057,8 +665,139 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     long swapped_out_tokens = 0;
     long swapped_in_tokens = 0;
     double swap_transfer_time = 0;
+    long waves = 0;
+    long decode_members = 0;
     const size_t max_inflight =
         static_cast<size_t>(online_.maxInflight);
+
+    // Take a flight out of the in-flight set, keeping the mounted and
+    // round-robin cursors on the same requests.
+    const auto removeFlight = [&](size_t idx) {
+        inflight.erase(inflight.begin() + static_cast<long>(idx));
+        if (current != kNone) {
+            if (idx == current)
+                current = kNone;
+            else if (idx < current)
+                --current;
+        }
+        if (idx < rr)
+            --rr;
+        if (rr >= inflight.size())
+            rr = 0;
+    };
+
+    // Kill a flight's attempt (watchdog or injected fault): its decode
+    // so far is wasted recompute, and cancelWith refunds its KV charge
+    // and prefix pins exactly (the abnormal-exit path never publishes
+    // its prompt). A flight admitted but never submitted has no engine
+    // state.
+    const auto abortFlight = [&](size_t idx, Status reason) {
+        Flight &flight = inflight[idx];
+        fault_wasted += flight.decoded;
+        if (flight.sysId != 0) {
+            checkOk(system_.cancelWith(flight.sysId, std::move(reason)));
+            checkOk(system_.release(flight.sysId));
+        }
+        removeFlight(idx);
+    };
+
+    // Wave-step fault probe of a flight about to decode. A faulted
+    // attempt dies before the wave runs — it consumes no device time
+    // and is re-queued or failed by its retry budget.
+    const auto faultedBeforeWave = [&](size_t idx) {
+        const bool fault = injector->shouldFault(
+            FaultSite::kWaveStep,
+            static_cast<long>(inflight[idx].ticket.meta.id));
+        if (degrade_enabled)
+            degrade.record(fault);
+        if (fault) {
+            scheduleRetry(inflight[idx].ticket, now);
+            abortFlight(idx, Status::unavailable(
+                                 "injected transient device error"));
+        }
+        return fault;
+    };
+
+    // Make room under an explicit shared budget: force-evict the KV of
+    // flights other than `keep` (the one that always runs this wave)
+    // until the ledger has headroom again, and bench them. Returns
+    // whether `keep` entered the wave benched.
+    const double headroom = 0.10 * ledger_->totalBytes();
+    const auto relieveMemoryPressure = [&](size_t keep) {
+        const bool keep_was_benched = inflight[keep].benched;
+        inflight[keep].benched = false;
+        const auto evictable = [&](size_t i) {
+            return i != keep && !inflight[i].benched
+                && inflight[i].sysId != 0;
+        };
+        const auto benchVictim = [&](Flight &victim) {
+            auto evicted = system_.evictSuspendedKv(victim.sysId);
+            if (evicted.ok()) {
+                preempt_evicted += *evicted;
+                victim.benched = true;
+            }
+        };
+        if (!cost_victims) {
+            // Admission order: continuous batching benches the
+            // youngest member first (the oldest always runs); time
+            // slicing evicts the oldest suspended request first.
+            const size_t n = inflight.size();
+            for (size_t k = 0; k < n && ledger_->freeBytes() < headroom;
+                 ++k) {
+                const size_t i = continuous ? n - 1 - k : k;
+                if (evictable(i))
+                    benchVictim(inflight[i]);
+            }
+        } else if (ledger_->freeBytes() < headroom) {
+            // Cost-aware: evict where re-admission costs least.
+            std::vector<size_t> victims;
+            std::vector<VictimCandidate> costs;
+            for (size_t i = 0; i < inflight.size(); ++i) {
+                if (!evictable(i))
+                    continue;
+                auto info = system_.suspendedInfo(inflight[i].sysId);
+                if (!info.ok() || info->residentKvBytes <= 0)
+                    continue;
+                victims.push_back(i);
+                costs.push_back(victimCost(info->residentKvBytes,
+                                           inflight[i].lastRunAt));
+            }
+            for (const size_t k : rankEvictionVictims(costs)) {
+                if (ledger_->freeBytes() >= headroom)
+                    break;
+                benchVictim(inflight[victims[k]]);
+            }
+        }
+        return keep_was_benched;
+    };
+
+    // A flight whose request completed this wave: fold its engine
+    // result into the trace counters, record it and release it.
+    const auto completeFlight = [&](size_t idx) {
+        Flight &flight = inflight[idx];
+        flight.rec.finish = now;
+        auto result = system_.result(flight.sysId);
+        if (result.ok()) {
+            verified_tokens += result->verifiedTokens;
+            recomputed_tokens +=
+                static_cast<long>(result->kvStats.recomputedTokens);
+            reprefilled_tokens +=
+                static_cast<long>(result->kvStats.reprefilledTokens);
+            prefix_hit_tokens +=
+                static_cast<long>(result->kvStats.prefixHitTokens);
+            swapped_out_tokens +=
+                static_cast<long>(result->kvStats.swappedOutTokens);
+            swapped_in_tokens +=
+                static_cast<long>(result->kvStats.swappedInTokens);
+            swap_transfer_time += result->kvStats.swapTransferTime;
+            calibrateKv(flight.ticket.kvBytes, flight.peakKvBytes);
+            if (results_sink)
+                results_sink->push_back(*std::move(result));
+        }
+        records.push_back(flight.rec);
+        checkOk(system_.release(flight.sysId));
+        removeFlight(idx);
+    };
 
     while (true) {
         if (injector != nullptr)
@@ -1079,47 +818,26 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             }
         }
 
-        // Watchdog: abort requests older than the timeout. Mounted
-        // and suspended victims alike are unwound through cancelWith,
-        // which refunds KV charges and prefix pins exactly; a victim
-        // admitted but never mounted (sysId 0) has no engine state.
+        // Watchdog: abort requests older than the timeout, whether
+        // queued, backing off, running or parked.
         sweepWaiting(queued, now);
         if (watchdog > 0) {
             for (size_t i = inflight.size(); i > 0; --i) {
-                const size_t idx = i - 1;
-                InFlight &victim = inflight[idx];
-                if (now - victim.rec.arrival <= watchdog)
+                const Flight &flight = inflight[i - 1];
+                if (now - flight.rec.arrival <= watchdog)
                     continue;
                 ++timeouts;
-                if (std::isfinite(victim.rec.deadline))
+                if (std::isfinite(flight.rec.deadline))
                     ++failed_with_deadline;
-                if (victim.sysId != 0) {
-                    if (idx == current)
-                        fault_wasted +=
-                            system_.engine().generatedTokensSoFar();
-                    checkOk(system_.cancelWith(
-                        victim.sysId,
-                        Status::deadlineExceeded(
-                            "request exceeded --request-timeout")));
-                    checkOk(system_.release(victim.sysId));
-                }
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(idx));
-                if (current != kNone) {
-                    if (idx == current)
-                        current = kNone;
-                    else if (idx < current)
-                        --current;
-                }
-                if (idx < rr)
-                    --rr;
+                abortFlight(i - 1,
+                            Status::deadlineExceeded(
+                                "request exceeded --request-timeout"));
             }
-            if (rr >= inflight.size())
-                rr = 0;
         }
 
-        // Degraded mode halves the admission ceiling (see the
-        // continuous loop for rationale).
+        // Degraded mode halves the admission ceiling: fewer
+        // co-resident requests means each kill wastes less decode
+        // work and retries re-enter a calmer batch.
         const size_t effective_inflight =
             degrade_enabled && degrade.degraded()
                 ? std::max<size_t>(1, max_inflight / 2)
@@ -1154,7 +872,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             // gracefully under budget pressure.
             if (memory_aware && !inflight.empty()) {
                 double inflight_kv = 0;
-                for (const InFlight &f : inflight)
+                for (const Flight &f : inflight)
                     inflight_kv += effectiveKv(f.ticket.kvBytes);
                 if (inflight_kv + effectiveKv(ticket.kvBytes)
                     > ledger_->totalBytes())
@@ -1162,9 +880,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             }
 
             queued.erase(queued.begin() + static_cast<long>(pick));
-            InFlight flight;
+            Flight flight;
             flight.ticket = ticket;
-            flight.box = std::make_unique<FlightBox>();
             flight.wallBase = std::max(ticket.meta.arrival, now);
             flight.lastRunAt = flight.wallBase;
             flight.rec.problemId = ticket.meta.problemId;
@@ -1193,7 +910,116 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             continue;
         }
 
-        // --- Choose which in-flight request runs this time slice. ---
+        if (continuous) {
+            // --- One fused wave over every in-flight request. ---
+            // Newly admitted requests are parked at once with a
+            // deferred prompt: the scheduler feeds the prompt in
+            // chunks so it never stalls the decoders already in the
+            // batch.
+            for (Flight &flight : inflight) {
+                if (flight.sysId != 0)
+                    continue;
+                flight.sysId = system_.submit(ticketProblem(flight.ticket));
+                checkOk(system_.startSuspended(flight.sysId,
+                                               /*defer_prompt=*/true));
+            }
+
+            // Under budget pressure the later-admitted members are
+            // force-evicted and benched. Benching is sticky with
+            // hysteresis: a member returns only when the ledger can
+            // hold its predicted working set on top of double the
+            // pressure threshold — re-admitting it the moment its own
+            // eviction freed the room would lazily re-prefill its KV,
+            // re-create the pressure and evict it again, paying the
+            // recompute forever. The oldest member always runs (a
+            // benched member that becomes oldest after a completion
+            // is force-returned — the progress guarantee, so nobody
+            // starves), so a thrashing batch degenerates to the
+            // time-sliced server's one-resident-working-set shape
+            // instead of deadlocking or ping-ponging.
+            if (memory_aware) {
+                const bool front_returned = relieveMemoryPressure(0);
+                // At most one return per wave, oldest benched first
+                // (pickBenchReturn holds the unit-tested contract).
+                bench_view.clear();
+                for (const Flight &flight : inflight)
+                    bench_view.emplace_back(
+                        flight.benched, effectiveKv(flight.ticket.kvBytes));
+                const int back = pickBenchReturn(bench_view,
+                                                 ledger_->freeBytes(),
+                                                 headroom, front_returned);
+                if (back >= 0)
+                    inflight[static_cast<size_t>(back)].benched = false;
+            }
+
+            // Every member about to decode this wave is at risk;
+            // benched members sit the wave out.
+            if (injector != nullptr) {
+                for (size_t i = inflight.size(); i > 0; --i) {
+                    if (!inflight[i - 1].benched)
+                        faultedBeforeWave(i - 1);
+                }
+                updateDegraded();
+                if (inflight.empty())
+                    continue; // Loop top re-admits / idles.
+            }
+
+            ids.clear();
+            candidates.clear();
+            for (size_t i = 0; i < inflight.size(); ++i) {
+                ids.push_back(inflight[i].sysId);
+                if (inflight[i].benched)
+                    continue;
+                const auto info =
+                    system_.suspendedInfo(inflight[i].sysId);
+                if (calibrate_kv)
+                    inflight[i].peakKvBytes =
+                        std::max(inflight[i].peakKvBytes,
+                                 info->residentKvBytes);
+                BatchCandidate candidate;
+                candidate.member = i;
+                candidate.promptRemaining = info->promptTokensPending;
+                candidate.prefixKey = info->prefixKey;
+                candidate.decodeTokens = std::max(
+                    1, static_cast<int>(
+                           std::max(1, info->activeBeams)
+                           * step_tokens));
+                candidates.push_back(candidate);
+            }
+
+            const BatchPlan plan = scheduler.plan(candidates);
+            auto outcome = system_.stepBatch(ids, plan);
+            if (!outcome.ok())
+                return outcome.status(); // Unreachable: all suspended.
+
+            ++waves;
+            decode_members += plan.decodeMembers();
+            const double wave_start = now;
+            now += outcome->schedule.waveTime;
+            busy += outcome->schedule.waveTime;
+            countWave(outcome->schedule.waveTime);
+
+            for (size_t i = inflight.size(); i > 0; --i) {
+                const size_t idx = i - 1;
+                const BatchMemberOutcome &member =
+                    outcome->members[idx];
+                if (!member.participated)
+                    continue;
+                Flight &flight = inflight[idx];
+                if (!flight.started) {
+                    flight.rec.start = wave_start;
+                    flight.started = true;
+                }
+                flight.rec.activeTime += member.activeDelta;
+                flight.decoded += member.decodedTokens;
+                flight.lastRunAt = now;
+                if (!member.moreWork)
+                    completeFlight(idx); // stepBatch completed it.
+            }
+            continue;
+        }
+
+        // --- One time slice: choose the request that runs. ---
         size_t chosen;
         switch (mode) {
         case PreemptMode::Off:
@@ -1219,10 +1045,10 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             // (SRPT) rather than yanking a nearly finished victim for
             // a shorter total job.
             view.clear();
-            for (const InFlight &f : inflight) {
+            for (const Flight &f : inflight) {
                 QueuedRequest meta = f.ticket.meta;
-                meta.predictedCost = std::max(
-                    0.0, meta.predictedCost - f.box->clock);
+                meta.predictedCost =
+                    std::max(0.0, meta.predictedCost - f.clock);
                 view.push_back(meta);
             }
             size_t best = policy_->pick(view, now);
@@ -1263,7 +1089,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 if (mode == PreemptMode::Policy)
                     ++preemptions;
             }
-            InFlight &f = inflight[chosen];
+            Flight &f = inflight[chosen];
             if (f.sysId == 0) {
                 // In the non-slicing modes an admitted request may sit
                 // unmounted behind run-to-completion predecessors (or
@@ -1276,158 +1102,55 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 // that way.
                 if (mode != PreemptMode::Slice)
                     f.rec.start = f.wallBase;
-                RequestCallbacks callbacks;
-                callbacks.onStep =
-                    [box = f.box.get()](const StepEvent &event) {
-                        box->clock = event.clock;
-                    };
-                callbacks.onComplete =
-                    [box = f.box.get()](RequestId,
-                                        const RequestResult &result) {
-                        box->finished = true;
-                        box->result = result;
-                    };
-                f.sysId = system_.submit(ticketProblem(f.ticket),
-                                         std::move(callbacks));
+                f.sysId = system_.submit(ticketProblem(f.ticket));
             } else {
                 checkOk(system_.resume(f.sysId));
             }
             current = chosen;
         }
 
-        // Under an explicit shared budget, make room for the running
-        // request by force-evicting suspended victims — in admission
-        // order by default, cheapest-to-restore first under
-        // --victim-select cost — before their caches squeeze it into
-        // thrashing.
-        if (memory_aware) {
-            const double headroom = 0.10 * ledger_->totalBytes();
-            if (!cost_victims) {
-                for (size_t i = 0;
-                     i < inflight.size()
-                     && ledger_->freeBytes() < headroom;
-                     ++i) {
-                    if (i == current || inflight[i].sysId == 0)
-                        continue;
-                    auto evicted =
-                        system_.evictSuspendedKv(inflight[i].sysId);
-                    if (evicted.ok())
-                        preempt_evicted += *evicted;
-                }
-            } else if (ledger_->freeBytes() < headroom) {
-                std::vector<size_t> victims;
-                std::vector<VictimCandidate> candidates;
-                for (size_t i = 0; i < inflight.size(); ++i) {
-                    if (i == current || inflight[i].sysId == 0)
-                        continue;
-                    auto info =
-                        system_.suspendedInfo(inflight[i].sysId);
-                    if (!info.ok() || info->residentKvBytes <= 0)
-                        continue;
-                    victims.push_back(i);
-                    candidates.push_back(
-                        victimCost(info->residentKvBytes,
-                                   inflight[i].lastRunAt));
-                }
-                for (const size_t k :
-                     rankEvictionVictims(candidates)) {
-                    if (ledger_->freeBytes() >= headroom)
-                        break;
-                    auto evicted = system_.evictSuspendedKv(
-                        inflight[victims[k]].sysId);
-                    if (evicted.ok())
-                        preempt_evicted += *evicted;
-                }
-            }
-        }
+        // Make room for the running request before the suspended
+        // victims' caches squeeze it into thrashing.
+        if (memory_aware)
+            relieveMemoryPressure(current);
 
-        InFlight &flight = inflight[current];
-        FlightBox &box = *flight.box;
-
-        // Wave-step fault probe: the mounted request is the one about
-        // to decode, so it alone is at risk this slice. A fault kills
-        // the attempt before the wave runs — no device time passes,
-        // the partial decode is wasted recompute and cancelWith
-        // refunds every KV charge and prefix pin.
+        // The mounted request alone is at risk this slice.
         if (injector != nullptr) {
-            const bool fault = injector->shouldFault(
-                FaultSite::kWaveStep,
-                static_cast<long>(flight.ticket.meta.id));
-            if (degrade_enabled)
-                degrade.record(fault);
+            const bool killed = faultedBeforeWave(current);
             updateDegraded();
-            if (fault) {
-                fault_wasted +=
-                    system_.engine().generatedTokensSoFar();
-                checkOk(system_.cancelWith(
-                    flight.sysId,
-                    Status::unavailable(
-                        "injected transient device error")));
-                checkOk(system_.release(flight.sysId));
-                scheduleRetry(flight.ticket, now);
-                const size_t killed = current;
-                inflight.erase(inflight.begin()
-                               + static_cast<long>(killed));
-                current = kNone;
-                if (killed < rr)
-                    --rr;
-                if (rr >= inflight.size())
-                    rr = 0;
+            if (killed)
                 continue;
-            }
         }
 
-        system_.step();
+        Flight &flight = inflight[current];
+        const ScheduleOutcome slice = system_.step();
+        ++waves;
+        ++decode_members;
+        flight.decoded += slice.tokensDecoded;
+        // The engine clock is cumulative device time for this request:
+        // it survives suspend/resume and includes any post-eviction
+        // recompute.
+        flight.clock = system_.engine().clock().now();
 
         // The request's wall clock is its engine clock offset by every
         // slice the device spent elsewhere; computed this way (rather
         // than by accumulating deltas) the fifo/maxInflight=1 path
         // reproduces the legacy run-to-completion times bit-for-bit.
-        const double slice_end = flight.wallBase
-            + (box.finished ? box.result.completionTime : box.clock);
-        for (InFlight &other : inflight) {
+        const double slice_end = flight.wallBase + flight.clock;
+        for (Flight &other : inflight) {
             if (&other != &flight)
                 other.wallBase += slice_end - now;
         }
-        if (degrade_enabled && degrade.degraded()) {
-            ++degraded_waves;
-            degraded_time += slice_end - now;
-        }
+        countWave(slice_end - now);
         now = slice_end;
         flight.lastRunAt = now;
 
-        if (box.finished) {
-            flight.rec.finish = now;
-            // The engine clock is cumulative device time for this
-            // request (it survives suspend/resume and includes any
-            // post-eviction recompute), so it IS the active time.
-            flight.rec.activeTime = box.result.completionTime;
-            busy += box.result.completionTime;
-            recomputed_tokens += static_cast<long>(
-                box.result.kvStats.recomputedTokens);
-            reprefilled_tokens += static_cast<long>(
-                box.result.kvStats.reprefilledTokens);
-            prefix_hit_tokens += static_cast<long>(
-                box.result.kvStats.prefixHitTokens);
-            swapped_out_tokens += static_cast<long>(
-                box.result.kvStats.swappedOutTokens);
-            swapped_in_tokens += static_cast<long>(
-                box.result.kvStats.swappedInTokens);
-            swap_transfer_time += box.result.kvStats.swapTransferTime;
-            calibrateKv(flight.ticket.kvBytes, flight.peakKvBytes);
-            verified_tokens += box.result.verifiedTokens;
-            if (results_sink)
-                results_sink->push_back(box.result);
-            records.push_back(flight.rec);
-            checkOk(system_.release(flight.sysId));
-            const size_t finished = current;
-            inflight.erase(inflight.begin()
-                           + static_cast<long>(finished));
-            current = kNone;
-            if (finished < rr)
-                --rr;
-            if (rr >= inflight.size())
-                rr = 0;
+        if (*system_.requestState(flight.sysId)
+            == RequestState::Completed) {
+            // The engine clock at completion IS the active time.
+            flight.rec.activeTime = flight.clock;
+            busy += flight.clock;
+            completeFlight(current);
         } else if (mode == PreemptMode::Slice) {
             rr = (rr + 1) % inflight.size();
         }
@@ -1451,9 +1174,38 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.swappedOutTokens = swapped_out_tokens;
     out.swappedInTokens = swapped_in_tokens;
     out.swapTransferTime = swap_transfer_time;
-    // Time-slicing decodes exactly one request per engine wave.
-    out.batchOccupancy = out.records.empty() ? 0.0 : 1.0;
-    stampFaultStats(out);
+    out.batchOccupancy = waves > 0 ? static_cast<double>(decode_members)
+                                         / static_cast<double>(waves)
+                                   : 0.0;
+
+    // Fold fault accounting into the aggregated trace. Completed-only
+    // population stands for latency statistics, but SLO attainment
+    // must charge deadline-bearing requests that never completed as
+    // misses — a fault that silently removed its victim from the
+    // denominator would otherwise IMPROVE attainment.
+    if (injector != nullptr)
+        out.injectedFaults = injector->injectedCount() - faults_before;
+    out.retries = retries;
+    out.timeouts = timeouts;
+    out.failedRequests = failed;
+    out.faultWastedTokens = fault_wasted;
+    out.degradedWaves = degraded_waves;
+    out.degradedTime = degraded_time;
+    out.degradedEpisodes = degraded_episodes;
+    if (failed_with_deadline > 0) {
+        int completed_with_deadline = 0;
+        for (const OnlineRequestRecord &rec : out.records)
+            if (rec.hasDeadline())
+                ++completed_with_deadline;
+        const int met = completed_with_deadline - out.deadlineMisses;
+        out.deadlineMisses += failed_with_deadline;
+        out.sloAttainment = static_cast<double>(met)
+            / (completed_with_deadline + failed_with_deadline);
+    }
+    // The degraded engine mode must not leak into the next trace
+    // served by this server.
+    if (degrade_enabled)
+        system_.engine().setDegraded(false);
     return out;
 }
 

@@ -146,7 +146,7 @@ struct OnlineTraceResult
     /**
      * Fraction of deadline-bearing requests that finished within
      * their SLO; 1 when no request carried a deadline (vacuous).
-     * Under fault injection the serve loops fold deadline-bearing
+     * Under fault injection the serve loop folds deadline-bearing
      * requests that never completed (fault-failed or timed out) into
      * the denominator as misses, so a fault cannot improve attainment
      * by removing its victim from the population.
@@ -219,9 +219,9 @@ struct OnlineTraceResult
  *
  * Population contract: latency statistics (mean, p50/p95/p99, queue
  * delay, SLO attainment) are computed over COMPLETED requests only —
- * `records` must contain one entry per completion, and neither serve
- * loop ever creates a record for a shed or cancelled request, in
- * either batching mode. Shed/cancelled volumes are reported solely
+ * `records` must contain one entry per completion, and the serve loop
+ * never creates a record for a shed or cancelled request, in either
+ * batching mode. Shed/cancelled volumes are reported solely
  * through the shedRequests/cancelled counters, so a trace that sheds
  * cannot skew its percentiles.
  */
@@ -229,7 +229,7 @@ struct OnlineTraceResult
 aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time);
 
 /**
- * Benching hysteresis rule of the continuous-batching loop, exposed
+ * Benching hysteresis rule of continuous batching, exposed
  * as a pure function so the "at most one return per wave" contract is
  * unit-testable. `members` is the oldest-first in-flight wave as
  * (benched, required KV bytes) pairs. The front member always runs:
@@ -495,8 +495,18 @@ class OnlineServer
                  std::unique_ptr<QueuePolicy> policy,
                  RooflineModel roofline, DatasetProfile profile);
 
-    /** The one serve loop; results_sink (optional) collects each
-     *  completed request's engine result in completion order. */
+    /**
+     * The one serve loop behind every entry point. Each iteration
+     * takes in arrivals and due retries, drops cancelled and
+     * timed-out requests, admits by policy (shedding doomed requests,
+     * gating on memory), then runs one wave: continuous batching
+     * plans a fused stepBatch() wave over every in-flight request;
+     * time slicing chooses one request by preempt mode, mounts it and
+     * step()s it. Memory-pressure eviction, fault probes and
+     * completion accounting are common to both. results_sink
+     * (optional) collects each completed request's engine result in
+     * completion order.
+     */
     StatusOr<OnlineTraceResult>
     serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                       std::vector<RequestResult> *results_sink);

@@ -1327,6 +1327,29 @@ TEST(OnlineServer, RetryRecoversWindowedFault)
     }
 }
 
+TEST(OnlineServer, FirstWaveFaultAfterACompletionWastesNothing)
+{
+    // Request 2 is killed by its first wave-step probe, before it has
+    // decoded anything. Run-to-completion mounts it right after request
+    // 1 finishes, so the engine still holds request 1's finished
+    // context then; none of those tokens may count as wasted.
+    const ServingOptions opts = smallOptions(true);
+    for (const std::string batching : {"off", "continuous"}) {
+        OnlineServerOptions online;
+        online.maxInflight = 2;
+        online.preempt = "off";
+        online.batching = batching;
+        online.faults = "plan";
+        online.faultPlan = "{\"rules\": [{\"site\": \"wave_step\", "
+                           "\"rate\": 1.0, \"request\": 2}]}";
+        OnlineServer server = OnlineServer::create(opts, online).value();
+        const auto out = server.serveRequests(faultTrace(4)).value();
+        EXPECT_EQ(out.records.size(), 3u) << batching;
+        EXPECT_EQ(out.failedRequests, 1) << batching;
+        EXPECT_EQ(out.faultWastedTokens, 0l) << batching;
+    }
+}
+
 TEST(OnlineServer, WatchdogTimesOutEveryRequestUnderTinyDeadline)
 {
     // An absurdly tight --request-timeout: the watchdog aborts every
@@ -1345,6 +1368,34 @@ TEST(OnlineServer, WatchdogTimesOutEveryRequestUnderTinyDeadline)
         EXPECT_EQ(out.retries, 0) << batching;
         EXPECT_DOUBLE_EQ(out.sloAttainment, 0.0) << batching;
         EXPECT_DOUBLE_EQ(server.kvLedger().usedBytes(), 0.0);
+    }
+}
+
+TEST(OnlineServer, WatchdogCountsEveryVictimsDecodeAsWasted)
+{
+    // Every request times out after several waves, so every token the
+    // engine decoded belongs to a killed attempt. Under time slicing
+    // most victims are parked (not mounted) when the watchdog fires;
+    // their decode must count as wasted just like the mounted one's.
+    const ServingOptions opts = smallOptions(true);
+    for (const std::string batching : {"off", "continuous"}) {
+        OnlineServerOptions online;
+        online.maxInflight = 4;
+        online.batching = batching;
+        online.requestTimeout = 8.0;
+        OnlineServer server = OnlineServer::create(opts, online).value();
+        std::vector<OnlineRequest> requests(6);
+        const long decoded_before = server.system().tokensDecoded();
+        const auto out = server.serveRequests(requests).value();
+        const long decoded =
+            server.system().tokensDecoded() - decoded_before;
+        EXPECT_TRUE(out.records.empty()) << batching;
+        EXPECT_EQ(out.timeouts, 6) << batching;
+        if (batching == "off") {
+            EXPECT_GT(out.contextSwitches, 0); // Victims were parked.
+        }
+        EXPECT_GT(decoded, 0l) << batching;
+        EXPECT_EQ(out.faultWastedTokens, decoded) << batching;
     }
 }
 
