@@ -1204,36 +1204,44 @@ runnerMain(int argc, char **argv)
     int jobs = 1;
     std::string outDir = ".";
     std::vector<std::string> selected;
+    const auto rejected = [](const Status &status) {
+        std::cerr << "bench_runner: " << status.toString() << "\n";
+        return 2;
+    };
 
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+        std::string arg = argv[i];
+        // The valued flags take "--flag value" or "--flag=value", as
+        // in every EngineArgs tool.
+        std::string value;
+        const std::string name = arg.substr(0, arg.find('='));
+        if (name == "--jobs" || name == "--out-dir" || name == "--seed") {
+            if (name.size() < arg.size())
+                value = arg.substr(name.size() + 1);
+            else if (i + 1 < argc)
+                value = argv[++i];
+            else
+                return rejected(
+                    Status::invalidArgument(name + " expects a value"));
+            arg = name;
+        }
+
         if (arg == "--list") {
             list = true;
         } else if (arg == "--quick") {
             quick = true;
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            char *end = nullptr;
-            const long value = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' || value < 1
-                || value > 1024) {
-                std::cerr << "bench_runner: --jobs expects an integer "
-                             "in [1, 1024], got '"
-                          << argv[i] << "'\n";
-                return 2;
-            }
-            jobs = static_cast<int>(value);
-        } else if (arg == "--out-dir" && i + 1 < argc) {
-            outDir = argv[++i];
-        } else if (arg == "--seed" && i + 1 < argc) {
-            // Reuse the EngineArgs number grammar for the seed flag.
-            const char *fake[] = {"bench_runner", "--seed", argv[++i]};
-            auto parsed = EngineArgs::fromArgv(3, fake);
-            if (!parsed.ok()) {
-                std::cerr << "bench_runner: "
-                          << parsed.status().toString() << "\n";
-                return 2;
-            }
-            seed = parsed->seed;
+        } else if (arg == "--jobs") {
+            auto parsed = parseIntFlag(arg, value, 1, 1024);
+            if (!parsed.ok())
+                return rejected(parsed.status());
+            jobs = static_cast<int>(*parsed);
+        } else if (arg == "--out-dir") {
+            outDir = value;
+        } else if (arg == "--seed") {
+            auto parsed = parseUnsignedFlag(arg, value);
+            if (!parsed.ok())
+                return rejected(parsed.status());
+            seed = *parsed;
         } else if (arg == "--help" || arg == "-h") {
             return usage(std::cout, 0);
         } else if (!arg.empty() && arg[0] == '-') {

@@ -34,108 +34,33 @@ namespace fasttts
 class Json;
 
 /**
- * One serving configuration in string-friendly form. Every field maps
- * 1:1 to a CLI flag and a JSON key; names are resolved through the
- * registries only at validate()/toServingOptions() time, so custom
- * registrations made before parsing are honoured.
+ * One serving configuration in string-friendly form. The online
+ * serving fields (policy, maxInflight, slo, ...) are inherited from
+ * OnlineServerOptions, which declares them and their defaults once.
+ * Every field maps 1:1 to a CLI flag and a JSON key through the flag
+ * table in engine_args.cc: fromArgv(), fromJson() and help() are loops
+ * over it, so adding a flag means adding one table row. Names are
+ * resolved through the registries only at validate() /
+ * toServingOptions() time, so custom registrations made before parsing
+ * are honoured.
  */
-struct EngineArgs
+struct EngineArgs : OnlineServerOptions
 {
-    std::string device = "RTX4090";       //!< --device / "device"
-    std::string dataset = "AIME";         //!< --dataset / "dataset"
-    std::string algorithm = "beam_search"; //!< --algorithm / "algorithm"
-    std::string models = "1.5B+1.5B";     //!< --models / "models"
-    std::string mode = "fasttts";  //!< --mode: "fasttts" | "baseline"
-    int numBeams = 32;        //!< --beams / "num_beams"
-    int branchFactor = 4;     //!< --branch-factor / "branch_factor"
-    int numProblems = 8;      //!< --problems / "num_problems"
-    uint64_t seed = 2026;     //!< --seed / "seed"
-    bool offload = false;     //!< --offload / "offload" (Sec. 4.3.2)
-    double memoryFraction = 0;  //!< --memory-fraction; 0 keeps the
-                                //!< model configuration's default.
-    double reservedGiB = -1;    //!< --reserved-gib; negative keeps the
-                                //!< engine default.
-
-    // --- Online serving (OnlineServer) ---
-    std::string policy = "fifo";   //!< --policy / "policy": admission
-                                   //!< order (queuePolicyRegistry()).
-    int maxInflight = 1;  //!< --max-inflight / "max_inflight" (1-64).
-    double slo = 0;       //!< --slo / "slo": per-request latency
-                          //!< budget in seconds; 0 disables.
-    std::string arrivals = "poisson"; //!< --arrivals / "arrivals":
+    std::string device = "RTX4090";        //!< deviceRegistry() name.
+    std::string dataset = "AIME";          //!< datasetRegistry() name.
+    std::string algorithm = "beam_search"; //!< algorithmRegistry() name.
+    std::string models = "1.5B+1.5B";      //!< modelConfigRegistry() label.
+    std::string mode = "fasttts";          //!< "fasttts" | "baseline".
+    int numBeams = 32;     //!< Search width n.
+    int branchFactor = 4;  //!< Branch factor B.
+    int numProblems = 8;   //!< Problems to serve.
+    uint64_t seed = 2026;  //!< Master problem-set seed.
+    bool offload = false;       //!< KV offloading (Sec. 4.3.2).
+    double memoryFraction = 0;  //!< 0 keeps the model configuration's
+                                //!< default.
+    double reservedGiB = -1;    //!< Negative keeps the engine default.
+    std::string arrivals = "poisson"; //!< Online arrival process:
                                       //!< 'poisson' or 'bursty'.
-    std::string preempt = "slice"; //!< --preempt / "preempt": 'off'
-                                   //!< (run-to-completion), 'slice'
-                                   //!< (round-robin time slices) or
-                                   //!< 'policy' (QueuePolicy-driven
-                                   //!< preemption of the victim).
-    double kvBudgetGiB = 0; //!< --kv-budget / "kv_budget_gib": shared
-                            //!< KV budget (GiB) all in-flight requests
-                            //!< contend for; 0 = legacy per-slot
-                            //!< accounting.
-    bool shedDoomed = false; //!< --shed-doomed / "shed_doomed": shed
-                             //!< queued requests whose predicted
-                             //!< finish already misses their deadline.
-    std::string batching = "off"; //!< --batching / "batching": 'off'
-                                  //!< (time-sliced waves) or
-                                  //!< 'continuous' (co-scheduled
-                                  //!< decode across requests).
-    int maxBatchedTokens = 2048; //!< --max-batched-tokens /
-                                 //!< "max_batched_tokens": per-wave
-                                 //!< token budget under continuous
-                                 //!< batching (>= 1).
-    int prefillChunk = 512; //!< --prefill-chunk / "prefill_chunk":
-                            //!< largest prompt slice per request per
-                            //!< wave under continuous batching (>= 1).
-    std::string prefixCache = "off"; //!< --prefix-cache /
-                                     //!< "prefix_cache": 'off'
-                                     //!< (bit-identical legacy
-                                     //!< serving) or 'on' (global
-                                     //!< cross-request prefix KV
-                                     //!< reuse, kv/prefix_index.h).
-    double prefixCacheBudgetGiB = 0; //!< --prefix-cache-budget /
-                                     //!< "prefix_cache_budget_gib":
-                                     //!< cache byte budget (GiB);
-                                     //!< 0 = 1/8 of the shared KV
-                                     //!< budget.
-    std::string faults = "off"; //!< --faults / "faults": 'off'
-                                //!< (bit-identical fault-free
-                                //!< serving) or 'plan'
-                                //!< (deterministic schedule-driven
-                                //!< injection per --fault-plan).
-    std::string faultPlan;  //!< --fault-plan / "fault_plan": fault
-                            //!< schedule JSON (schema in
-                            //!< util/fault_injector.h); required
-                            //!< when faults == 'plan'.
-    int retryMax = 0;       //!< --retry-max / "retry_max": retries
-                            //!< per fault-killed request, [0, 16].
-    double retryBackoff = 0.05; //!< --retry-backoff /
-                                //!< "retry_backoff": base retry
-                                //!< backoff in sim seconds (capped
-                                //!< exponential growth per attempt).
-    double requestTimeout = 0; //!< --request-timeout /
-                               //!< "request_timeout": watchdog abort
-                               //!< deadline in sim seconds; 0
-                               //!< disables.
-    std::string kvTier = "off"; //!< --kv-tier / "kv_tier": 'off'
-                                //!< (device-only KV, bit-identical
-                                //!< legacy serving) or 'host'
-                                //!< (budgeted host tier behind a
-                                //!< finite-bandwidth link;
-                                //!< kv/kv_tier.h).
-    double hostKvBudgetGiB = 0; //!< --host-kv-budget /
-                                //!< "host_kv_budget_gib": host tier
-                                //!< byte budget (GiB); 0 = twice the
-                                //!< device KV budget.
-    double hostBandwidthGBs = 16; //!< --host-bandwidth /
-                                  //!< "host_bandwidth_gbs": host link
-                                  //!< bandwidth in GB/s (> 0).
-    std::string victimSelect = "admission"; //!< --victim-select /
-                                            //!< "victim_select":
-                                            //!< 'admission' (legacy
-                                            //!< sweep order) or 'cost'
-                                            //!< (cheapest-to-restore
-                                            //!< first).
 
     bool helpRequested = false; //!< --help seen; see parseOrExit().
 
@@ -150,7 +75,7 @@ struct EngineArgs
     /**
      * Parse a command line on top of the given defaults. Recognised
      * flags are listed by help(); "--flag value" and "--flag=value"
-     * both work. Bare positional arguments (the pre-PR-2 bench CLI
+     * both work. Bare positional arguments (the old bench CLI
      * form) are rejected with kInvalidArgument after their
      * one-release deprecation window. Syntax and number-format errors
      * are kInvalidArgument; names are NOT resolved here (call
@@ -164,7 +89,7 @@ struct EngineArgs
 
     /**
      * Load from a JSON object on top of the given defaults. Keys are
-     * the doc-comment names above ("device", ..., "reserved_gib");
+     * the flag table's JSON keys ("device", "num_beams", ...);
      * unknown keys and type mismatches are kInvalidArgument.
      */
     static StatusOr<EngineArgs> fromJson(const Json &doc,
@@ -179,6 +104,8 @@ struct EngineArgs
     /**
      * Full validation: every name must exist in its registry, numeric
      * fields must be in range, mode must be "fasttts" or "baseline".
+     * The online fields are checked by validateOnlineOptions(), the
+     * same function OnlineServer::create() calls.
      */
     Status validate() const;
 
@@ -186,9 +113,13 @@ struct EngineArgs
     StatusOr<ServingOptions> toServingOptions() const;
 
     /** The OnlineServer queueing configuration (policy, max-inflight,
-     *  SLO) these arguments describe; pair with toServingOptions()
-     *  for OnlineServer::create(). */
-    [[nodiscard]] OnlineServerOptions toOnlineOptions() const;
+     *  SLO, ...) these arguments describe: the OnlineServerOptions
+     *  slice of this object. Pair with toServingOptions() for
+     *  OnlineServer::create(). */
+    [[nodiscard]] OnlineServerOptions toOnlineOptions() const
+    {
+        return *this;
+    }
 
     /**
      * kInvalidArgument when the command line explicitly set a flag
@@ -207,39 +138,48 @@ struct EngineArgs
      */
     [[nodiscard]] bool wasSet(const std::string &flag) const;
 
+    /** Every flag fromArgv() knows, in help() order. */
+    [[nodiscard]] static const std::vector<std::string> &allFlags();
+
     /**
-     * The flag reference plus the current registry contents (devices,
-     * datasets, algorithms, model configs) — the discoverability
-     * surface of the CLI.
+     * The reference of the `supported` flags plus the current registry
+     * contents (devices, datasets, algorithms, model configs) — the
+     * discoverability surface of the CLI.
      */
-    [[nodiscard]] static std::string help(const std::string &program);
+    [[nodiscard]] static std::string
+    help(const std::string &program,
+         const std::vector<std::string> &supported = allFlags());
 
     /** Just the registered-names block of help() (shared by tools
      *  with their own usage text, e.g. bench_runner). */
     [[nodiscard]] static std::string registryListing();
 
     /**
-     * fromArgv + validate for command-line tools: prints help and
-     * exits 0 on --help, prints the error and exits 2 on bad input,
-     * otherwise returns the validated arguments.
+     * fromArgv + validate for command-line tools: prints help (of the
+     * supported flags) and exits 0 on --help, prints the error and
+     * exits 2 on bad input or on an explicitly-set flag outside
+     * `supported` (pass {} for a tool with a fully fixed configuration
+     * that only takes --help), otherwise returns the validated
+     * arguments.
      * @param description One-line tool description printed atop help.
      */
     [[nodiscard]] static EngineArgs
     parseOrExit(int argc, const char *const *argv,
-                const EngineArgs &defaults,
-                const std::string &description);
-
-    /**
-     * As above, but additionally rejects explicitly-set flags outside
-     * `supported` (pass {} for a tool with a fully fixed
-     * configuration that only takes --help).
-     */
-    [[nodiscard]] static EngineArgs
-    parseOrExit(int argc, const char *const *argv,
-                const EngineArgs &defaults,
-                const std::string &description,
-                const std::vector<std::string> &supported);
+                const EngineArgs &defaults, const std::string &description,
+                const std::vector<std::string> &supported = allFlags());
 };
+
+/** Strict decimal integer in [min, max] for `flag`; rejects trailing
+ *  junk. The integer grammar of every EngineArgs flag, shared with
+ *  tools that parse flags of their own. */
+StatusOr<long long> parseIntFlag(const std::string &flag,
+                                 const std::string &token, long long min,
+                                 long long max);
+
+/** Strict unsigned decimal integer for `flag` (the --seed grammar);
+ *  rejects a sign and trailing junk. */
+StatusOr<uint64_t> parseUnsignedFlag(const std::string &flag,
+                                     const std::string &token);
 
 } // namespace fasttts
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "util/rng.h"
@@ -106,29 +107,30 @@ OnlineServer::create(const ServingOptions &options)
     return create(options, OnlineServerOptions());
 }
 
-StatusOr<OnlineServer>
-OnlineServer::create(const ServingOptions &options,
-                     const OnlineServerOptions &online)
+Status
+validateOnlineOptions(const OnlineServerOptions &online, FaultPlan *plan)
 {
-    if (online.maxInflight < 1 || online.maxInflight > 64)
+    using Options = OnlineServerOptions;
+    if (online.maxInflight < 1 || online.maxInflight > Options::kMaxInflight)
         return Status::invalidArgument(
-            "max_inflight must be in [1, 64], got "
+            "max_inflight must be in [1, "
+            + std::to_string(Options::kMaxInflight) + "], got "
             + std::to_string(online.maxInflight));
     if (!(online.slo >= 0) || !std::isfinite(online.slo))
-        return Status::invalidArgument("slo must be >= 0 seconds");
-    PreemptMode mode;
-    if (!parsePreemptMode(online.preempt, &mode))
         return Status::invalidArgument(
-            "unknown preempt mode '" + online.preempt
-            + "'; valid modes: off, slice, policy");
+            "slo must be >= 0 seconds (0 disables SLO tracking)");
+    if (PreemptMode mode; !parsePreemptMode(online.preempt, &mode))
+        return Status::invalidArgument(
+            "preempt must be 'off', 'slice' or 'policy', got '"
+            + online.preempt + "'");
     if (!(online.kvBudgetGiB >= 0) || !std::isfinite(online.kvBudgetGiB))
         return Status::invalidArgument(
             "kv_budget must be >= 0 GiB (0 keeps the legacy "
             "per-slot accounting)");
     if (online.kvTier != "off" && online.kvTier != "host")
         return Status::invalidArgument(
-            "unknown kv-tier mode '" + online.kvTier
-            + "'; valid modes: off, host");
+            "kv_tier must be 'off' or 'host', got '" + online.kvTier
+            + "'");
     if (!(online.hostKvBudgetGiB >= 0)
         || !std::isfinite(online.hostKvBudgetGiB))
         return Status::invalidArgument(
@@ -141,12 +143,12 @@ OnlineServer::create(const ServingOptions &options,
     if (online.victimSelect != "admission"
         && online.victimSelect != "cost")
         return Status::invalidArgument(
-            "unknown victim-select mode '" + online.victimSelect
-            + "'; valid modes: admission, cost");
+            "victim_select must be 'admission' or 'cost', got '"
+            + online.victimSelect + "'");
     if (online.batching != "off" && online.batching != "continuous")
         return Status::invalidArgument(
-            "unknown batching mode '" + online.batching
-            + "'; valid modes: off, continuous");
+            "batching must be 'off' or 'continuous', got '"
+            + online.batching + "'");
     if (online.maxBatchedTokens < 1)
         return Status::invalidArgument(
             "max_batched_tokens must be >= 1, got "
@@ -157,8 +159,8 @@ OnlineServer::create(const ServingOptions &options,
             + std::to_string(online.prefillChunk));
     if (online.prefixCache != "off" && online.prefixCache != "on")
         return Status::invalidArgument(
-            "unknown prefix-cache mode '" + online.prefixCache
-            + "'; valid modes: off, on");
+            "prefix_cache must be 'off' or 'on', got '"
+            + online.prefixCache + "'");
     if (!(online.prefixCacheBudgetGiB >= 0)
         || !std::isfinite(online.prefixCacheBudgetGiB))
         return Status::invalidArgument(
@@ -166,11 +168,12 @@ OnlineServer::create(const ServingOptions &options,
             "1/8 of the shared KV budget)");
     if (online.faults != "off" && online.faults != "plan")
         return Status::invalidArgument(
-            "unknown faults mode '" + online.faults
-            + "'; valid modes: off, plan");
-    if (online.retryMax < 0 || online.retryMax > 16)
+            "faults must be 'off' or 'plan', got '" + online.faults
+            + "'");
+    if (online.retryMax < 0 || online.retryMax > Options::kMaxRetries)
         return Status::invalidArgument(
-            "retry_max must be in [0, 16], got "
+            "retry_max must be in [0, "
+            + std::to_string(Options::kMaxRetries) + "], got "
             + std::to_string(online.retryMax));
     if (!(online.retryBackoff >= 0) || !std::isfinite(online.retryBackoff))
         return Status::invalidArgument(
@@ -180,17 +183,27 @@ OnlineServer::create(const ServingOptions &options,
         return Status::invalidArgument(
             "request_timeout must be >= 0 seconds (0 disables the "
             "watchdog)");
-    FaultPlan fault_plan;
     if (online.faults == "plan") {
         if (online.faultPlan.empty())
             return Status::invalidArgument(
-                "faults=plan requires a fault-plan JSON schedule "
-                "(--fault-plan)");
+                "--faults plan requires a --fault-plan JSON schedule");
         auto parsed = FaultPlan::fromJsonText(online.faultPlan);
         if (!parsed.ok())
             return parsed.status();
-        fault_plan = *std::move(parsed);
+        if (plan != nullptr)
+            *plan = *std::move(parsed);
     }
+    return okStatus();
+}
+
+StatusOr<OnlineServer>
+OnlineServer::create(const ServingOptions &options,
+                     const OnlineServerOptions &online)
+{
+    FaultPlan fault_plan;
+    if (Status status = validateOnlineOptions(online, &fault_plan);
+        !status.ok())
+        return status;
 
     auto policy = makeQueuePolicy(online.policy);
     if (!policy.ok())
@@ -652,7 +665,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     size_t current = kNone; //!< In-flight index mounted on the engine
                             //!< (time slicing).
     double now = 0;
-    double busy = 0;
+    double busy = 0;          //!< Device time of every wave run.
+    double last_wave_end = 0; //!< Utilization's span.
     int cancelled = 0;
     int shed = 0;
     int context_switches = 0;
@@ -997,6 +1011,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             const double wave_start = now;
             now += outcome->schedule.waveTime;
             busy += outcome->schedule.waveTime;
+            last_wave_end = now;
             countWave(outcome->schedule.waveTime);
 
             for (size_t i = inflight.size(); i > 0; --i) {
@@ -1142,14 +1157,17 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 other.wallBase += slice_end - now;
         }
         countWave(slice_end - now);
+        // Counted as it runs: a slice of an attempt that a fault or the
+        // watchdog kills later still kept the device busy.
+        busy += slice_end - now;
         now = slice_end;
+        last_wave_end = now;
         flight.lastRunAt = now;
 
         if (*system_.requestState(flight.sysId)
             == RequestState::Completed) {
             // The engine clock at completion IS the active time.
             flight.rec.activeTime = flight.clock;
-            busy += flight.clock;
             completeFlight(current);
         } else if (mode == PreemptMode::Slice) {
             rr = (rr + 1) % inflight.size();
@@ -1161,7 +1179,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     // prefix cache's own residency may remain).
     system_.engine().releaseFinishedKv();
 
-    OnlineTraceResult out = aggregateTrace(std::move(records), busy);
+    OnlineTraceResult out =
+        aggregateTrace(std::move(records), busy, last_wave_end);
     out.cancelled = cancelled;
     out.shedRequests = shed;
     out.contextSwitches = context_switches;
@@ -1260,7 +1279,8 @@ pickBenchReturn(const std::vector<std::pair<bool, double>> &members,
 }
 
 OnlineTraceResult
-aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time)
+aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time,
+               double busy_span)
 {
     OnlineTraceResult out;
     out.records = std::move(records);
@@ -1298,7 +1318,8 @@ aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time)
     for (const auto &rec : out.records)
         makespan = std::max(makespan, rec.finish);
     out.makespan = makespan;
-    out.utilization = out.makespan > 0 ? busy_time / out.makespan : 0;
+    const double span = std::max(makespan, busy_span);
+    out.utilization = span > 0 ? busy_time / span : 0;
     return out;
 }
 

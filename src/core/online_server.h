@@ -141,7 +141,8 @@ struct OnlineTraceResult
     double p99Latency = 0;
     double meanQueueDelay = 0;
     double makespan = 0;     //!< Finish time of the last request.
-    double utilization = 0;  //!< Busy fraction of the makespan.
+    double utilization = 0;  //!< Busy fraction of the trace, up to the
+                             //!< end of its last engine wave.
 
     /**
      * Fraction of deadline-bearing requests that finished within
@@ -213,7 +214,12 @@ struct OnlineTraceResult
 
 /**
  * Aggregate per-request records into trace statistics.
- * @param busy_time Total device-busy seconds across the records.
+ * @param busy_time Total device-busy seconds of the trace, including
+ *     waves of attempts that were later killed.
+ * @param busy_span End of the trace's last engine wave, which may lie
+ *     after the last completion when a later attempt was killed.
+ *     Utilization is busy_time over the larger of this and the
+ *     makespan.
  * Safe on an empty record set: every statistic stays zero (no NaN or
  * division by zero). The cancelled count is the caller's to fill in.
  *
@@ -226,7 +232,8 @@ struct OnlineTraceResult
  * cannot skew its percentiles.
  */
 [[nodiscard]] OnlineTraceResult
-aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time);
+aggregateTrace(std::vector<OnlineRequestRecord> records, double busy_time,
+               double busy_span = 0);
 
 /**
  * Benching hysteresis rule of continuous batching, exposed
@@ -279,11 +286,19 @@ struct VictimCandidate
 [[nodiscard]] std::vector<size_t>
 rankEvictionVictims(const std::vector<VictimCandidate> &candidates);
 
-/** Queueing/scheduling configuration of an OnlineServer. */
+/**
+ * Queueing/scheduling configuration of an OnlineServer. EngineArgs
+ * derives from it, so each field and its default is declared once;
+ * validateOnlineOptions() checks them.
+ */
 struct OnlineServerOptions
 {
+    static constexpr int kMaxInflight = 64; //!< Bound of maxInflight.
+    static constexpr int kMaxRetries = 16;  //!< Bound of retryMax.
+
     std::string policy = "fifo"; //!< queuePolicyRegistry() name.
-    int maxInflight = 1;         //!< Interleaved requests (1-64).
+    int maxInflight = 1;         //!< Interleaved requests, in
+                                 //!< [1, kMaxInflight].
     double slo = 0;              //!< Default per-request latency budget
                                  //!< (s); 0 disables SLO tracking.
 
@@ -367,7 +382,8 @@ struct OnlineServerOptions
     std::string faultPlan;
 
     /** Retry budget per request: how many times an attempt killed by
-     *  a retryable fault (kUnavailable) is re-queued, in [0, 16].
+     *  a retryable fault (kUnavailable) is re-queued, in
+     *  [0, kMaxRetries].
      *  0 fails the request on its first fault. */
     int retryMax = 0;
 
@@ -385,6 +401,17 @@ struct OnlineServerOptions
      *  0 disables the watchdog. */
     double requestTimeout = 0;
 };
+
+/**
+ * Range and mode checks of every OnlineServerOptions field except the
+ * policy name (resolved through queuePolicyRegistry() by its users):
+ * kInvalidArgument naming the field and its valid values. Both
+ * EngineArgs::validate() and OnlineServer::create() reject a bad value
+ * here, with the same message. Under faults == "plan" the fault plan is
+ * parsed too, and stored in `plan` when it is given.
+ */
+Status validateOnlineOptions(const OnlineServerOptions &online,
+                             FaultPlan *plan = nullptr);
 
 /** One request of an explicit online trace (serveRequests()). */
 struct OnlineRequest
@@ -421,9 +448,8 @@ class OnlineServer
 
     /**
      * Build the shared serving system and resolve the queue policy;
-     * fails on invalid options, unknown policy/preempt names
-     * (kNotFound, listing the registered names) and maxInflight
-     * outside [1, 64].
+     * fails on invalid options (validateOnlineOptions()) and on an
+     * unknown policy name (kNotFound, listing the registered names).
      */
     static StatusOr<OnlineServer> create(const ServingOptions &options,
                                          const OnlineServerOptions &online);

@@ -5,6 +5,11 @@
  * error path.
  */
 
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "api/engine_args.h"
@@ -1033,6 +1038,117 @@ TEST(EngineArgsOnline, FaultFlagValidation)
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("--request-timeout"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// EngineArgs: the command-line surface, pinned flag by flag
+// ---------------------------------------------------------------------
+
+/** Every EngineArgs field, printed; two args are equal iff these are. */
+std::string
+describe(const EngineArgs &a)
+{
+    std::ostringstream out;
+    out << a.device << '|' << a.dataset << '|' << a.algorithm << '|'
+        << a.models << '|' << a.mode << '|' << a.numBeams << '|'
+        << a.branchFactor << '|' << a.numProblems << '|' << a.seed << '|'
+        << a.offload << '|' << a.memoryFraction << '|' << a.reservedGiB
+        << '|' << a.policy << '|' << a.maxInflight << '|' << a.slo << '|'
+        << a.arrivals << '|' << a.preempt << '|' << a.kvBudgetGiB << '|'
+        << a.shedDoomed << '|' << a.batching << '|' << a.maxBatchedTokens
+        << '|' << a.prefillChunk << '|' << a.prefixCache << '|'
+        << a.prefixCacheBudgetGiB << '|' << a.faults << '|' << a.faultPlan
+        << '|' << a.retryMax << '|' << a.retryBackoff << '|'
+        << a.requestTimeout << '|' << a.kvTier << '|' << a.hostKvBudgetGiB
+        << '|' << a.hostBandwidthGBs << '|' << a.victimSelect;
+    return out.str();
+}
+
+/** The frozen command-line surface: each flag, its JSON key, and one
+ *  non-default value in both spellings (nullptr: a bare bool flag). */
+struct FlagSpelling
+{
+    const char *flag;
+    const char *key;
+    const char *argvValue;
+    const char *jsonValue;
+};
+
+constexpr FlagSpelling kFlagSurface[] = {
+    {"--device", "device", "RTX3070Ti", "\"RTX3070Ti\""},
+    {"--dataset", "dataset", "AMC", "\"AMC\""},
+    {"--algorithm", "algorithm", "dvts", "\"dvts\""},
+    {"--models", "models", "1.5B+7B", "\"1.5B+7B\""},
+    {"--mode", "mode", "baseline", "\"baseline\""},
+    {"--beams", "num_beams", "16", "16"},
+    {"--branch-factor", "branch_factor", "8", "8"},
+    {"--problems", "num_problems", "3", "3"},
+    {"--seed", "seed", "42", "42"},
+    {"--offload", "offload", nullptr, "true"},
+    {"--memory-fraction", "memory_fraction", "0.5", "0.5"},
+    {"--reserved-gib", "reserved_gib", "0.25", "0.25"},
+    {"--policy", "policy", "sjf", "\"sjf\""},
+    {"--max-inflight", "max_inflight", "8", "8"},
+    {"--slo", "slo", "30.5", "30.5"},
+    {"--arrivals", "arrivals", "bursty", "\"bursty\""},
+    {"--preempt", "preempt", "policy", "\"policy\""},
+    {"--kv-budget", "kv_budget_gib", "1.5", "1.5"},
+    {"--shed-doomed", "shed_doomed", nullptr, "true"},
+    {"--batching", "batching", "continuous", "\"continuous\""},
+    {"--max-batched-tokens", "max_batched_tokens", "4096", "4096"},
+    {"--prefill-chunk", "prefill_chunk", "256", "256"},
+    {"--prefix-cache", "prefix_cache", "on", "\"on\""},
+    {"--prefix-cache-budget", "prefix_cache_budget_gib", "0.25", "0.25"},
+    {"--faults", "faults", "plan", "\"plan\""},
+    {"--fault-plan", "fault_plan", "{}", "\"{}\""},
+    {"--retry-max", "retry_max", "3", "3"},
+    {"--retry-backoff", "retry_backoff", "0.125", "0.125"},
+    {"--request-timeout", "request_timeout", "90", "90"},
+    {"--kv-tier", "kv_tier", "host", "\"host\""},
+    {"--host-kv-budget", "host_kv_budget_gib", "1.5", "1.5"},
+    {"--host-bandwidth", "host_bandwidth_gbs", "8", "8"},
+    {"--victim-select", "victim_select", "cost", "\"cost\""},
+};
+
+TEST(EngineArgsSurface, EveryFlagAndKeySetTheSameField)
+{
+    ASSERT_EQ(std::size(kFlagSurface), 33u);
+    const std::string defaults = describe(EngineArgs());
+    const std::string help = EngineArgs::help("prog");
+    for (const FlagSpelling &row : kFlagSurface) {
+        SCOPED_TRACE(row.flag);
+        const auto via_argv =
+            row.argvValue != nullptr ? parse({row.flag, row.argvValue})
+                                     : parse({row.flag});
+        ASSERT_TRUE(via_argv.ok()) << via_argv.status().toString();
+        const auto via_json = EngineArgs::fromJsonText(
+            std::string("{\"") + row.key + "\": " + row.jsonValue + "}");
+        ASSERT_TRUE(via_json.ok()) << via_json.status().toString();
+
+        EXPECT_NE(describe(*via_argv), defaults);
+        EXPECT_EQ(describe(*via_argv), describe(*via_json));
+        EXPECT_EQ(via_argv->parsedFlags,
+                  std::vector<std::string>{row.flag});
+        EXPECT_NE(help.find(std::string("  ") + row.flag + " "),
+                  std::string::npos);
+
+        // The equals form agrees; a bool flag's --no- form undoes it.
+        if (row.argvValue != nullptr) {
+            const std::string equals =
+                std::string(row.flag) + "=" + row.argvValue;
+            const auto via_equals = parse({equals.c_str()});
+            ASSERT_TRUE(via_equals.ok());
+            EXPECT_EQ(describe(*via_equals), describe(*via_argv));
+        } else {
+            const std::string negated =
+                std::string("--no-") + (row.flag + 2);
+            const auto undone = parse({row.flag, negated.c_str()});
+            ASSERT_TRUE(undone.ok());
+            EXPECT_EQ(describe(*undone), defaults);
+            EXPECT_TRUE(undone->wasSet(row.flag));
+            EXPECT_NE(help.find("  " + negated + " "), std::string::npos);
+        }
+    }
 }
 
 TEST(EngineArgsArgv, HelpNoLongerAdvertisesPositionals)

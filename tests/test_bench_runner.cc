@@ -232,6 +232,63 @@ TEST(BenchRunner, RejectsInvalidJobs)
               0);
 }
 
+TEST(BenchRunner, ValuedFlagAtTheEndExpectsAValue)
+{
+    for (const char *flag : {"--seed", "--jobs", "--out-dir"}) {
+        std::string output;
+        EXPECT_EQ(runCommand(std::string(FASTTTS_BENCH_RUNNER_PATH)
+                                 + " --list " + flag + " 2>&1",
+                             &output),
+                  2)
+            << flag;
+        EXPECT_NE(output.find(std::string(flag) + " expects a value"),
+                  std::string::npos)
+            << output;
+        EXPECT_EQ(output.find("unknown option"), std::string::npos)
+            << output;
+    }
+}
+
+TEST(BenchRunner, SeedTakesTheEqualsFormAndTheStrictGrammar)
+{
+    const std::filesystem::path outDir =
+        std::filesystem::path(testing::TempDir()) / "fasttts_bench_seed";
+    std::filesystem::remove_all(outDir);
+    const std::string runner = FASTTTS_BENCH_RUNNER_PATH;
+    std::string output;
+    ASSERT_EQ(runCommand(runner + " --quick --seed=5 --out-dir="
+                             + (outDir / "equals").string() + " micro",
+                         &output),
+              0);
+    ASSERT_EQ(runCommand(runner + " --quick --seed 5 --out-dir "
+                             + (outDir / "spaced").string() + " micro",
+                         &output),
+              0);
+    ASSERT_EQ(runCommand(runner + " --quick --out-dir "
+                             + (outDir / "default").string() + " micro",
+                         &output),
+              0);
+    const auto slurp = [&](const char *sub) {
+        std::ifstream in(outDir / sub / "BENCH_micro.json");
+        std::stringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    EXPECT_FALSE(slurp("equals").empty());
+    EXPECT_EQ(slurp("equals"), slurp("spaced"));
+    EXPECT_NE(slurp("equals"), slurp("default"));
+
+    for (const char *bad : {"--seed=-3", "--seed 1.5", "--seed=",
+                            "--seed 12x", "--jobs=0"}) {
+        EXPECT_EQ(runCommand(runner + " --list " + bad + " 2>&1", &output),
+                  2)
+            << bad;
+        EXPECT_NE(output.find("invalid_argument"), std::string::npos)
+            << bad << ": " << output;
+    }
+    std::filesystem::remove_all(outDir);
+}
+
 TEST(BenchRunner, OnlineSchedulingSweepsPoliciesOnOneTrace)
 {
     const std::filesystem::path outDir =

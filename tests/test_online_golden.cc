@@ -208,6 +208,10 @@ serveCell(const Cell &cell, std::vector<std::string> &lines)
                   + r.cancelled + r.failedRequests + r.timeouts,
               static_cast<int>(requests.size()))
         << name;
+    // The device is busy at most the whole trace, including attempts
+    // killed after the last completion.
+    EXPECT_GE(r.utilization, 0.0) << name;
+    EXPECT_LE(r.utilization, 1.0 + 1e-12) << name;
     // The drained ledger holds only the prefix cache's residency.
     const PrefixIndex *index = server->system().prefixIndex();
     EXPECT_DOUBLE_EQ(server->kvLedger().usedBytes(),
