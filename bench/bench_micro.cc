@@ -422,6 +422,33 @@ BM_RooflineAllocationSearch(benchmark::State &state)
 }
 BENCHMARK(BM_RooflineAllocationSearch)->Arg(64)->Arg(512);
 
+// Set-up of an online server over a problem set of range(0) problems:
+// registry lookups, engine and ledger construction, and the problem
+// set's checkpoint pass (draws happen on access, not here).
+void
+BM_ServerSetUp(benchmark::State &state)
+{
+    ServingOptions options;
+    options.problemCount = static_cast<int>(state.range(0));
+    const OnlineServerOptions online;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(OnlineServer::create(options, online));
+}
+BENCHMARK(BM_ServerSetUp)->Arg(1000)->Arg(8192);
+
+// One problem drawn at a random index: a checkpoint copy, up to
+// 3 * (ProblemSet::kStride - 1) skipped outputs and one draw.
+void
+BM_ProblemSetAccess(benchmark::State &state)
+{
+    const ProblemSet problems(aime2024(), 8192, 2026);
+    Rng rng(17);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            problems[static_cast<size_t>(rng.uniformInt(0, 8191))]);
+}
+BENCHMARK(BM_ProblemSetAccess);
+
 } // namespace
 } // namespace fasttts
 

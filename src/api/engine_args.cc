@@ -440,19 +440,22 @@ EngineArgs::validate() const
         return profile.status();
     if (!modelConfigRegistry().contains(models))
         return modelConfigByLabel(models).status();
-    if (numBeams < 1)
-        return Status::invalidArgument("num_beams must be >= 1, got "
-                                       + std::to_string(numBeams));
-    if (branchFactor < 1)
-        return Status::invalidArgument(
-            "branch_factor must be >= 1, got "
-            + std::to_string(branchFactor));
+    // Every int field against its flag-table range, so a value built
+    // in code is held to the same bounds as one parsed from argv/JSON.
+    for (const Flag &row : kFlags) {
+        const auto *field = std::get_if<int E::*>(&row.field);
+        if (field == nullptr)
+            continue;
+        const int value = this->**field;
+        if (value < row.min || value > row.max)
+            return Status::invalidArgument(
+                std::string(row.key) + " must be in ["
+                + std::to_string(row.min) + ", " + std::to_string(row.max)
+                + "], got " + std::to_string(value));
+    }
     if (auto algo = makeAlgorithm(algorithm, numBeams, branchFactor);
         !algo.ok())
         return algo.status();
-    if (numProblems < 0)
-        return Status::invalidArgument("num_problems must be >= 0, got "
-                                       + std::to_string(numProblems));
     if (mode != "fasttts" && mode != "baseline")
         return Status::invalidArgument(
             "mode must be 'fasttts' or 'baseline', got '" + mode + "'");

@@ -103,7 +103,9 @@ struct EngineArgs : OnlineServerOptions
 
     /**
      * Full validation: every name must exist in its registry, numeric
-     * fields must be in range, mode must be "fasttts" or "baseline".
+     * fields must be in range (an int field in exactly the range its
+     * flag accepts from argv or JSON), mode must be "fasttts" or
+     * "baseline".
      * The online fields are checked by validateOnlineOptions(), the
      * same function OnlineServer::create() calls.
      */

@@ -335,7 +335,7 @@ StatusOr<OnlineTraceResult>
 OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                                 std::vector<RequestResult> *results_sink)
 {
-    const std::vector<Problem> &problems = system_.problems();
+    const ProblemSet &problems = system_.problems();
     if (requests.empty() || problems.empty())
         return aggregateTrace({}, 0.0);
 
@@ -398,23 +398,19 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         return candidate;
     };
 
-    // --- Build and validate tickets in submission order. ---
+    // --- Build and validate tickets in submission order. A ticket's
+    //     meta.id is its request's index in `requests`, which outlives
+    //     the serve, so a prompt override is read from there rather
+    //     than copied into every ticket. ---
     struct Ticket
     {
         QueuedRequest meta;
         double cancelAt = -1;
         double kvBytes = 0; //!< Predicted working set (admission).
         int attempts = 0;   //!< Fault-killed attempts so far (retry).
-        std::vector<int32_t> promptIds; //!< Per-request prompt
-                                        //!< override (empty = none).
     };
     std::vector<Ticket> tickets;
     tickets.reserve(requests.size());
-    // predictServiceTime is a pure function of the problem for a
-    // fixed server; memoize it so long traces over a small problem
-    // set don't recompute it per request.
-    std::vector<double> predicted(problems.size(), -1.0);
-    std::vector<double> predicted_kv(problems.size(), -1.0);
     for (size_t i = 0; i < requests.size(); ++i) {
         const OnlineRequest &request = requests[i];
         // Negative arrivals are served as "queued since before the
@@ -441,38 +437,18 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
             request.slo < 0 ? online_.slo : request.slo;
         ticket.meta.deadline =
             slo > 0 ? request.arrival + slo : kInfinity;
-        if (!request.promptIds.empty()) {
-            // A prompt override changes the problem's shape, so the
-            // memoized per-problem predictions do not apply.
-            Problem shaped =
-                problems[static_cast<size_t>(problem_id)];
-            shaped.promptIds = request.promptIds;
+        // The predictors read the prompt's length, never its token
+        // identities, so an override only reshapes promptTokens here.
+        Problem shaped = problems[static_cast<size_t>(problem_id)];
+        if (!request.promptIds.empty())
             shaped.promptTokens =
                 static_cast<int>(request.promptIds.size());
-            ticket.meta.predictedCost = predictServiceTime(
-                roofline_, system_.options().models, profile_,
-                shaped, system_.options().numBeams);
-            ticket.kvBytes = predictKvWorkingSetBytes(
-                system_.options().models, profile_, shaped,
-                system_.options().numBeams);
-            ticket.promptIds = request.promptIds;
-        } else {
-            double &cost = predicted[static_cast<size_t>(problem_id)];
-            if (cost < 0)
-                cost = predictServiceTime(
-                    roofline_, system_.options().models, profile_,
-                    problems[static_cast<size_t>(problem_id)],
-                    system_.options().numBeams);
-            ticket.meta.predictedCost = cost;
-            double &kv =
-                predicted_kv[static_cast<size_t>(problem_id)];
-            if (kv < 0)
-                kv = predictKvWorkingSetBytes(
-                    system_.options().models, profile_,
-                    problems[static_cast<size_t>(problem_id)],
-                    system_.options().numBeams);
-            ticket.kvBytes = kv;
-        }
+        ticket.meta.predictedCost =
+            predictServiceTime(roofline_, system_.options().models,
+                               profile_, shaped, system_.options().numBeams);
+        ticket.kvBytes = predictKvWorkingSetBytes(
+            system_.options().models, profile_, shaped,
+            system_.options().numBeams);
         ticket.cancelAt = request.cancelAt;
         tickets.push_back(ticket);
     }
@@ -483,14 +459,16 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
 
     // The problem a ticket is actually served against: the request's
     // prompt override (multi-turn prefix-cache traces) reshapes a
-    // copy; without one the stored problem is used unchanged.
-    const auto ticketProblem = [&problems](const Ticket &ticket) {
+    // copy; without one the drawn problem is used unchanged. Only the
+    // request being admitted pays for the prompt copy.
+    const auto ticketProblem = [&problems, &requests](const Ticket &ticket) {
         Problem problem =
             problems[static_cast<size_t>(ticket.meta.problemId)];
-        if (!ticket.promptIds.empty()) {
-            problem.promptIds = ticket.promptIds;
-            problem.promptTokens =
-                static_cast<int>(ticket.promptIds.size());
+        const std::vector<int32_t> &prompt_ids =
+            requests[static_cast<size_t>(ticket.meta.id)].promptIds;
+        if (!prompt_ids.empty()) {
+            problem.promptIds = prompt_ids;
+            problem.promptTokens = static_cast<int>(prompt_ids.size());
         }
         return problem;
     };

@@ -46,13 +46,12 @@ ServingSystem::ServingSystem(const ServingOptions &options,
                              std::unique_ptr<SearchAlgorithm> algorithm,
                              const DeviceSpec &device)
     : options_(options), dataset_(std::move(dataset)),
-      algorithm_(std::move(algorithm))
+      algorithm_(std::move(algorithm)),
+      problems_(dataset_, options.problemCount, options.seed)
 {
     engine_ = std::make_unique<FastTtsEngine>(options.config,
                                               options.models, device,
                                               dataset_, *algorithm_);
-    problems_ =
-        makeProblems(dataset_, options.problemCount, options.seed);
 }
 
 ServingSystem::~ServingSystem() = default;

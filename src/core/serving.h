@@ -388,8 +388,9 @@ class ServingSystem
     FastTtsEngine &engine() { return *engine_; }
     const FastTtsEngine &engine() const { return *engine_; }
 
-    /** The deterministic problem set this system serves. */
-    [[nodiscard]] const std::vector<Problem> &problems() const
+    /** The deterministic problem set this system serves; problems are
+     *  drawn on access and returned by value. */
+    [[nodiscard]] const ProblemSet &problems() const
     {
         return problems_;
     }
@@ -426,7 +427,7 @@ class ServingSystem
     //!< be destroyed last.
     std::unique_ptr<PrefixIndex> prefixIndex_;
     std::unique_ptr<FastTtsEngine> engine_;
-    std::vector<Problem> problems_;
+    ProblemSet problems_;
     FaultInjector *faultInjector_ = nullptr; //!< Borrowed (optional).
 
     // --- Async state ---

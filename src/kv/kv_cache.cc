@@ -453,6 +453,42 @@ KvCacheManager::markResident(NodeId id, uint64_t tick)
 KvCacheManager::TouchResult
 KvCacheManager::ensureResident(NodeId leaf, uint64_t tick)
 {
+    // Fast path: a resident node's ancestors are all resident (the
+    // root always is), so when the leaf is resident, or holds no
+    // tokens under a resident parent, nothing on the path needs a
+    // block and no reclaim can run — no pin is needed. One walk does
+    // what the general path below does in that case.
+    Node &leaf_node = node(leaf);
+    if (leaf_node.resident
+        || (leaf_node.tokens == 0 && leaf_node.parent != kInvalid
+            && node(leaf_node.parent).resident)) {
+        TouchResult result;
+        result.ok = true;
+        for (NodeId id = leaf; id != kInvalid; id = node(id).parent) {
+            Node &n = node(id);
+            if (!n.resident)
+                continue; // The zero-token leaf, placed below.
+            n.lastUse = tick;
+            if (id != kRoot)
+                result.cachedTokens += n.tokens;
+        }
+        // Place the empty leaf: zero blocks, but the ledger is still
+        // asked (an injected allocation fault can refuse it). Only the
+        // leaf, or its parent when the leaf stays evicted, can be an
+        // LRU victim now; every other path node has a resident child.
+        if (!leaf_node.resident) {
+            if (allocateBlocks(0)) {
+                markResident(leaf, tick);
+            } else {
+                result.ok = false;
+                maybeEnqueueVictim(leaf_node.parent);
+            }
+        }
+        maybeEnqueueVictim(leaf);
+        stats_.hitTokens += static_cast<uint64_t>(result.cachedTokens);
+        return result;
+    }
+
     // Collect root->leaf path (scratch reused across calls).
     std::vector<NodeId> &path = pathScratch_;
     path.clear();

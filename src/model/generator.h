@@ -90,6 +90,7 @@ class SyntheticGenerator
     double skill_;
     std::vector<double> wrongAnswerWeights_; //!< 1/(1+k) per wrong
                                              //!< answer 1+k.
+    double wrongAnswerTotal_ = 0; //!< Their left-to-right sum.
 };
 
 } // namespace fasttts

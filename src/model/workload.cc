@@ -1,5 +1,7 @@
 #include "model/workload.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "util/rng.h"
@@ -109,24 +111,73 @@ datasetByName(const std::string &name)
     return datasetRegistry().create(name);
 }
 
+namespace
+{
+
+/** The random stream a problem set draws from. */
+Rng
+problemStream(uint64_t seed)
+{
+    return Rng(seed).fork(0x9a0b);
+}
+
+/** Raw outputs one drawProblem() call consumes. */
+constexpr int kDrawsPerProblem = 3;
+
+/**
+ * Draw problem `id` from `rng`, consuming exactly kDrawsPerProblem
+ * outputs: both halves of one Box-Muller pair (difficulty, then the
+ * cached half for the prompt length) and one raw seed.
+ */
+Problem
+drawProblem(const DatasetProfile &profile, int id, Rng &rng)
+{
+    Problem p;
+    p.id = id;
+    p.difficulty = rng.normal(profile.difficultyMean, profile.difficultySd);
+    p.seed = rng.next();
+    p.promptTokens = std::max(
+        16, static_cast<int>(rng.normal(profile.promptTokens,
+                                        profile.promptTokens * 0.2)));
+    return p;
+}
+
+} // namespace
+
 std::vector<Problem>
 makeProblems(const DatasetProfile &profile, int count, uint64_t seed)
 {
-    Rng rng = Rng(seed).fork(0x9a0b);
+    Rng rng = problemStream(seed);
     std::vector<Problem> problems;
-    problems.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        Problem p;
-        p.id = i;
-        p.difficulty =
-            rng.normal(profile.difficultyMean, profile.difficultySd);
-        p.seed = rng.next();
-        p.promptTokens = std::max(
-            16, static_cast<int>(rng.normal(profile.promptTokens,
-                                            profile.promptTokens * 0.2)));
-        problems.push_back(p);
-    }
+    problems.reserve(static_cast<size_t>(std::max(0, count)));
+    for (int i = 0; i < count; ++i)
+        problems.push_back(drawProblem(profile, i, rng));
     return problems;
+}
+
+ProblemSet::ProblemSet(const DatasetProfile &profile, int count,
+                       uint64_t seed)
+    : profile_(profile), count_(static_cast<size_t>(std::max(0, count)))
+{
+    checkpoints_.reserve((count_ + kStride - 1) / kStride);
+    Rng rng = problemStream(seed);
+    for (size_t i = 0; i < count_; i += kStride) {
+        if (i > 0)
+            for (int skip = 0; skip < kStride * kDrawsPerProblem; ++skip)
+                (void)rng.next();
+        checkpoints_.push_back(rng);
+    }
+}
+
+Problem
+ProblemSet::operator[](size_t i) const
+{
+    assert(i < count_);
+    Rng rng = checkpoints_[i / kStride];
+    const size_t skip = (i % kStride) * kDrawsPerProblem;
+    for (size_t k = 0; k < skip; ++k)
+        (void)rng.next();
+    return drawProblem(profile_, static_cast<int>(i), rng);
 }
 
 } // namespace fasttts

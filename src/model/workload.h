@@ -21,6 +21,7 @@
 
 #include "api/registry.h"
 #include "api/status.h"
+#include "util/rng.h"
 
 namespace fasttts
 {
@@ -104,6 +105,46 @@ struct Problem
  */
 std::vector<Problem> makeProblems(const DatasetProfile &profile, int count,
                                   uint64_t seed);
+
+/**
+ * The problems makeProblems(profile, count, seed) returns, drawn on
+ * access instead of up front: set[i] equals makeProblems(...)[i] field
+ * for field, bit for bit.
+ *
+ * Problem i consumes exactly three outputs of the set's random stream
+ * (one Box-Muller pair, one raw draw), so the stream state before
+ * problem i is the state before problem 0 advanced by 3*i outputs.
+ * Construction takes one pass of raw draws and keeps a copy of that
+ * state every kStride problems; access copies the nearest copy, skips
+ * at most 3*(kStride-1) outputs and draws the problem. Set-up and
+ * memory are thus a few raw draws and 1/kStride of a generator per
+ * problem — no transcendental runs until a problem is used.
+ *
+ * Immutable after construction, so concurrent const access is safe.
+ */
+class ProblemSet
+{
+  public:
+    /** Problems kept between two stream checkpoints. */
+    static constexpr int kStride = 64;
+
+    /** The empty set. */
+    ProblemSet() = default;
+
+    /** The set makeProblems(profile, count, seed) materialises. */
+    ProblemSet(const DatasetProfile &profile, int count, uint64_t seed);
+
+    [[nodiscard]] size_t size() const { return count_; }
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+
+    /** Problem i (i < size()), drawn on every call. */
+    [[nodiscard]] Problem operator[](size_t i) const;
+
+  private:
+    DatasetProfile profile_;
+    size_t count_ = 0;
+    std::vector<Rng> checkpoints_; //!< Stream before problem k*kStride.
+};
 
 } // namespace fasttts
 

@@ -280,6 +280,81 @@ TEST(EngineArgsArgv, ErrorPaths)
               StatusCode::kInvalidArgument);
 }
 
+/** One int field of EngineArgs and the range its flag accepts. */
+struct IntFieldRange
+{
+    const char *test;  //!< Test-name suffix.
+    const char *flag;
+    const char *key;
+    int EngineArgs::*field;
+    int min;
+    int max;
+};
+
+class EngineArgsIntRange : public ::testing::TestWithParam<IntFieldRange>
+{
+};
+
+TEST_P(EngineArgsIntRange, ValidateAgreesWithTheFlagTable)
+{
+    // A value set in code is held to the range --flag and the JSON key
+    // accept: out of range is refused on all three paths, the bounds
+    // themselves pass the range check.
+    const IntFieldRange &row = GetParam();
+    const std::string range_error =
+        std::string(row.key) + " must be in [";
+    for (const long long value :
+         {static_cast<long long>(row.min) - 1,
+          static_cast<long long>(row.max) + 1}) {
+        SCOPED_TRACE(value);
+        const std::string text = std::to_string(value);
+        EXPECT_EQ(parse({row.flag, text.c_str()}).status().code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_EQ(EngineArgs::fromJsonText("{\"" + std::string(row.key)
+                                           + "\": " + text + "}")
+                      .status()
+                      .code(),
+                  StatusCode::kInvalidArgument);
+        EngineArgs args;
+        args.*row.field = static_cast<int>(value);
+        const Status status = args.validate();
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(status.message().find(range_error), std::string::npos)
+            << status.message();
+    }
+    for (const int value : {row.min, row.max}) {
+        SCOPED_TRACE(value);
+        const std::string text = std::to_string(value);
+        EXPECT_TRUE(parse({row.flag, text.c_str()}).ok());
+        EngineArgs args;
+        args.*row.field = value;
+        EXPECT_EQ(args.validate().message().find(range_error),
+                  std::string::npos);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryIntFlag, EngineArgsIntRange,
+    ::testing::Values(
+        IntFieldRange{"Beams", "--beams", "num_beams", &EngineArgs::numBeams,
+                      1, 1 << 20},
+        IntFieldRange{"BranchFactor", "--branch-factor", "branch_factor",
+                      &EngineArgs::branchFactor, 1, 1 << 20},
+        IntFieldRange{"Problems", "--problems", "num_problems",
+                      &EngineArgs::numProblems, 0, 1 << 20},
+        IntFieldRange{"MaxInflight", "--max-inflight", "max_inflight",
+                      &EngineArgs::maxInflight, 1, 64},
+        IntFieldRange{"MaxBatchedTokens", "--max-batched-tokens",
+                      "max_batched_tokens", &EngineArgs::maxBatchedTokens, 1,
+                      1 << 20},
+        IntFieldRange{"PrefillChunk", "--prefill-chunk", "prefill_chunk",
+                      &EngineArgs::prefillChunk, 1, 1 << 20},
+        IntFieldRange{"RetryMax", "--retry-max", "retry_max",
+                      &EngineArgs::retryMax, 0, 16}),
+    [](const ::testing::TestParamInfo<IntFieldRange> &info) {
+        return std::string(info.param.test);
+    });
+
 TEST(EngineArgsValidate, RegistryMembershipEnforced)
 {
     EngineArgs args;

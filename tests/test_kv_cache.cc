@@ -8,6 +8,7 @@
 
 #include "kv/kv_cache.h"
 #include "kv/kv_session.h"
+#include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace fasttts
@@ -95,6 +96,39 @@ TEST(KvCache, SharedPrefixCountedOnce)
     EXPECT_EQ(touch.cachedTokens, 200);
     EXPECT_EQ(touch.recomputeTokens, 50);
     EXPECT_EQ(kv.residentTokens(), 300);
+}
+
+TEST(KvCache, EmptyLeafUnderResidentPathStillAsksTheLedger)
+{
+    // A zero-token leaf under a resident path needs no block, but its
+    // placement still charges the ledger (zero bytes), so an injected
+    // allocation fault refuses it exactly as it would a real charge.
+    auto kv = makeCache(1024);
+    KvBudgetLedger ledger(1024);
+    kv.attachLedger(&ledger);
+    const int trunk = kv.createChild(KvCacheManager::kRoot, 1, 100);
+    ASSERT_TRUE(kv.ensureResident(trunk, 1).ok);
+    const int leaf = kv.createChild(trunk, 2, 0);
+    const size_t used = kv.allocator().used();
+
+    FaultInjector injector(FaultPlan::uniform(1.0), 3);
+    ledger.attachFaultInjector(&injector);
+    const auto refused = kv.ensureResident(leaf, 2);
+    EXPECT_FALSE(refused.ok);
+    EXPECT_EQ(refused.cachedTokens, 100);
+    EXPECT_FALSE(kv.isResident(leaf));
+    EXPECT_EQ(injector.stats(FaultSite::kKvAlloc).injected, 1);
+    EXPECT_EQ(kv.checkInvariants(), "");
+
+    ledger.attachFaultInjector(nullptr);
+    const auto placed = kv.ensureResident(leaf, 3);
+    EXPECT_TRUE(placed.ok);
+    EXPECT_EQ(placed.cachedTokens, 100);
+    EXPECT_EQ(placed.recomputeTokens, 0);
+    EXPECT_TRUE(kv.isResident(leaf));
+    EXPECT_EQ(kv.allocator().used(), used);
+    EXPECT_EQ(kv.stats().hitTokens, 200u);
+    EXPECT_EQ(kv.checkInvariants(), "");
 }
 
 TEST(KvCache, RefCountingAlongPath)

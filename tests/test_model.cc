@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "core/serving.h"
 #include "model/generator.h"
 #include "model/verifier.h"
 #include "model/workload.h"
@@ -59,6 +66,96 @@ TEST(Workload, AimeHarderThanAmc)
         amc_mean += amc[static_cast<size_t>(i)].difficulty;
     }
     EXPECT_GT(aime_mean / 200, amc_mean / 200 + 0.5);
+}
+
+/** A double's exact bits, spelled as a C hex-float. */
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+/** Field-for-field bit equality of two problems. */
+void
+expectSameProblem(const Problem &want, const Problem &got)
+{
+    EXPECT_EQ(want.id, got.id);
+    EXPECT_EQ(hexFloat(want.difficulty), hexFloat(got.difficulty));
+    EXPECT_EQ(want.seed, got.seed);
+    EXPECT_EQ(want.promptTokens, got.promptTokens);
+    EXPECT_EQ(want.promptIds, got.promptIds);
+}
+
+TEST(ProblemSet, MatchesMakeProblemsAtEveryIndex)
+{
+    // Counts straddle the checkpoint stride (64) on both sides.
+    const int counts[] = {0, 1, 63, 64, 65, 1000, 8192};
+    const uint64_t seeds[] = {2026, 7, 0xdeadbeefULL};
+    for (const std::string &name : datasetRegistry().list()) {
+        const DatasetProfile profile = *datasetByName(name);
+        for (const int count : counts) {
+            for (const uint64_t seed : seeds) {
+                SCOPED_TRACE(name + " count " + std::to_string(count)
+                             + " seed " + std::to_string(seed));
+                const std::vector<Problem> want =
+                    makeProblems(profile, count, seed);
+                const ProblemSet set(profile, count, seed);
+                ASSERT_EQ(set.size(), want.size());
+                EXPECT_EQ(set.empty(), want.empty());
+                // Shuffled order: no access may depend on the one
+                // before it.
+                std::vector<size_t> order(want.size());
+                std::iota(order.begin(), order.end(), size_t{0});
+                Rng(seed ^ 0x5eedULL).shuffle(order);
+                for (const size_t i : order)
+                    expectSameProblem(want[i], set[i]);
+            }
+        }
+    }
+}
+
+TEST(ProblemSet, ServingSystemServesTheSameProblems)
+{
+    ServingOptions opts;
+    opts.datasetName = "AMC";
+    opts.problemCount = 300;
+    opts.seed = 99;
+    const ServingSystem system = ServingSystem::create(opts).value();
+    const std::vector<Problem> want =
+        makeProblems(*datasetByName("AMC"), 300, 99);
+    ASSERT_EQ(system.problems().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        expectSameProblem(want[i], system.problems()[i]);
+}
+
+TEST(Generator, SampleAnswerDrawsLikeTheUnsummedCategorical)
+{
+    // The generator hands categorical() its precomputed weight total;
+    // every draw must match the overload that sums the weights itself.
+    for (const std::string &name : datasetRegistry().list()) {
+        SCOPED_TRACE(name);
+        const DatasetProfile profile = *datasetByName(name);
+        const SyntheticGenerator gen(qwen25Math1_5B(), profile);
+        const Problem problem = makeProblems(profile, 1, 5)[0];
+        std::vector<double> weights;
+        for (int k = 0; k < std::max(1, profile.numAnswers - 1); ++k)
+            weights.push_back(1.0 / (1.0 + k));
+        Rng rng(11);
+        Rng reference(11);
+        int mismatches = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const double quality = -3.0 + 6.0 * (i % 97) / 96.0;
+            const int got = gen.sampleAnswer(quality, problem, rng);
+            const int want =
+                reference.bernoulli(gen.correctProbability(quality, problem))
+                ? 0
+                : 1 + reference.categorical(weights);
+            mismatches += got != want ? 1 : 0;
+        }
+        EXPECT_EQ(mismatches, 0);
+    }
 }
 
 TEST(Generator, StepLengthsRespectBounds)

@@ -341,7 +341,7 @@ TEST(QueuePolicyProperties, SjfAdmitsShortBeforeLongUnderBacklog)
     // behind a running request; sjf must admit the predicted-shorter
     // one first.
     OnlineServer server = makeServer("sjf", 1);
-    const std::vector<Problem> &problems = server.system().problems();
+    const ProblemSet &problems = server.system().problems();
     // Find the problems with min and max prompt length in the set.
     size_t shortest = 0;
     size_t longest = 0;
@@ -387,7 +387,7 @@ TEST(QueuePolicyProperties, InterleavingUnblocksShortBehindLong)
     // interleaved it round-robins and finishes much earlier.
     OnlineServer serial = makeServer("fifo", 1);
     OnlineServer interleaved = makeServer("fifo", 2);
-    const std::vector<Problem> &problems = serial.system().problems();
+    const ProblemSet &problems = serial.system().problems();
     size_t shortest = 0;
     size_t longest = 0;
     std::vector<double> service;
