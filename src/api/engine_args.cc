@@ -21,9 +21,12 @@ namespace
 using E = EngineArgs;
 
 /** The field a flag sets. Its type decides how argv and JSON spell the
- *  value; a bool flag takes none, and "--no-<name>" clears it. */
-using Field = std::variant<std::string E::*, int E::*, uint64_t E::*,
-                           double E::*, bool E::*>;
+ *  value; a bool flag takes none, and "--no-<name>" clears it. An int
+ *  field declared by OnlineServerOptions keeps its own alternative:
+ *  validateOnlineOptions() owns its range, validate() the others. */
+using Field =
+    std::variant<std::string E::*, int E::*, int OnlineServerOptions::*,
+                 uint64_t E::*, double E::*, bool E::*>;
 
 /**
  * One row of the flag table: all that fromArgv(), fromJson(), help()
@@ -46,7 +49,7 @@ struct Flag
     }
 };
 
-/** Upper bound of the count-like flags (beams, problems, tokens). */
+/** Upper bound of the count-like flags (beams, problems). */
 constexpr int kMaxCount = 1 << 20;
 
 /** Every EngineArgs flag, in help() order. */
@@ -94,11 +97,11 @@ constexpr Flag kFlags[] = {
      "'continuous' (co-\nscheduled decode across requests)"},
     {"--max-batched-tokens", "max_batched_tokens", &E::maxBatchedTokens, "N",
      "per-wave token budget for continuous\nbatching (default 2048)", 1,
-     kMaxCount},
+     E::kMaxBatchedTokens},
     {"--prefill-chunk", "prefill_chunk", &E::prefillChunk, "N",
      "largest prompt slice per request per\nwave under continuous "
      "batching\n(default 512)",
-     1, kMaxCount},
+     1, E::kMaxPrefillChunk},
     {"--prefix-cache", "prefix_cache", &E::prefixCache, "MODE",
      "cross-request prefix KV reuse: 'off'\n(default; bit-identical to "
      "legacy\nserving) or 'on' (mount cached prompt\nprefixes instead of "
@@ -440,8 +443,10 @@ EngineArgs::validate() const
         return profile.status();
     if (!modelConfigRegistry().contains(models))
         return modelConfigByLabel(models).status();
-    // Every int field against its flag-table range, so a value built
-    // in code is held to the same bounds as one parsed from argv/JSON.
+    // Every int field EngineArgs declares against its flag-table range,
+    // so a value built in code is held to the same bounds as one parsed
+    // from argv/JSON. The online int fields are validateOnlineOptions'
+    // (below): their rows use the bounds it checks.
     for (const Flag &row : kFlags) {
         const auto *field = std::get_if<int E::*>(&row.field);
         if (field == nullptr)

@@ -149,13 +149,17 @@ validateOnlineOptions(const OnlineServerOptions &online, FaultPlan *plan)
         return Status::invalidArgument(
             "batching must be 'off' or 'continuous', got '"
             + online.batching + "'");
-    if (online.maxBatchedTokens < 1)
+    if (online.maxBatchedTokens < 1
+        || online.maxBatchedTokens > Options::kMaxBatchedTokens)
         return Status::invalidArgument(
-            "max_batched_tokens must be >= 1, got "
+            "max_batched_tokens must be in [1, "
+            + std::to_string(Options::kMaxBatchedTokens) + "], got "
             + std::to_string(online.maxBatchedTokens));
-    if (online.prefillChunk < 1)
+    if (online.prefillChunk < 1
+        || online.prefillChunk > Options::kMaxPrefillChunk)
         return Status::invalidArgument(
-            "prefill_chunk must be >= 1, got "
+            "prefill_chunk must be in [1, "
+            + std::to_string(Options::kMaxPrefillChunk) + "], got "
             + std::to_string(online.prefillChunk));
     if (online.prefixCache != "off" && online.prefixCache != "on")
         return Status::invalidArgument(

@@ -295,6 +295,9 @@ struct OnlineServerOptions
 {
     static constexpr int kMaxInflight = 64; //!< Bound of maxInflight.
     static constexpr int kMaxRetries = 16;  //!< Bound of retryMax.
+    /** Bounds of maxBatchedTokens and prefillChunk. */
+    static constexpr int kMaxBatchedTokens = 1 << 20;
+    static constexpr int kMaxPrefillChunk = 1 << 20;
 
     std::string policy = "fifo"; //!< queuePolicyRegistry() name.
     int maxInflight = 1;         //!< Interleaved requests, in
@@ -350,12 +353,13 @@ struct OnlineServerOptions
 
     /** Per-wave token budget for continuous batching: decode demand
      *  is packed first, leftover budget becomes prompt-prefill
-     *  chunks. Ignored when batching == "off". */
+     *  chunks, in [1, kMaxBatchedTokens]. Ignored when
+     *  batching == "off". */
     int maxBatchedTokens = 2048;
 
     /** Largest prompt slice one request prefills per wave under
-     *  continuous batching (chunked prefill). Ignored when
-     *  batching == "off". */
+     *  continuous batching (chunked prefill), in
+     *  [1, kMaxPrefillChunk]. Ignored when batching == "off". */
     int prefillChunk = 512;
 
     /** Cross-request prefix cache (kv/prefix_index.h): "off" (the

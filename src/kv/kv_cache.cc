@@ -453,67 +453,41 @@ KvCacheManager::markResident(NodeId id, uint64_t tick)
 KvCacheManager::TouchResult
 KvCacheManager::ensureResident(NodeId leaf, uint64_t tick)
 {
-    // Fast path: a resident node's ancestors are all resident (the
-    // root always is), so when the leaf is resident, or holds no
-    // tokens under a resident parent, nothing on the path needs a
-    // block and no reclaim can run — no pin is needed. One walk does
-    // what the general path below does in that case.
-    Node &leaf_node = node(leaf);
-    if (leaf_node.resident
-        || (leaf_node.tokens == 0 && leaf_node.parent != kInvalid
-            && node(leaf_node.parent).resident)) {
-        TouchResult result;
-        result.ok = true;
-        for (NodeId id = leaf; id != kInvalid; id = node(id).parent) {
-            Node &n = node(id);
-            if (!n.resident)
-                continue; // The zero-token leaf, placed below.
-            n.lastUse = tick;
-            if (id != kRoot)
-                result.cachedTokens += n.tokens;
-        }
-        // Place the empty leaf: zero blocks, but the ledger is still
-        // asked (an injected allocation fault can refuse it). Only the
-        // leaf, or its parent when the leaf stays evicted, can be an
-        // LRU victim now; every other path node has a resident child.
-        if (!leaf_node.resident) {
-            if (allocateBlocks(0)) {
-                markResident(leaf, tick);
-            } else {
-                result.ok = false;
-                maybeEnqueueVictim(leaf_node.parent);
-            }
-        }
-        maybeEnqueueVictim(leaf);
-        stats_.hitTokens += static_cast<uint64_t>(result.cachedTokens);
-        return result;
-    }
-
-    // Collect root->leaf path (scratch reused across calls).
+    // A resident node's ancestors are all resident (the root always
+    // is), so the root->leaf path is a resident prefix above a
+    // non-resident suffix — usually empty, or one zero-token leaf just
+    // created under a resident path. Collect the suffix bottom-up and
+    // end it with the deepest resident node; only these need a pin.
     std::vector<NodeId> &path = pathScratch_;
     path.clear();
-    for (NodeId id = leaf; id != kInvalid; id = node(id).parent)
-        path.push_back(id);
-    std::reverse(path.begin(), path.end());
-
-    // Pin the path so reclaim() cannot evict nodes we just placed.
-    for (NodeId id : path)
-        ++node(id).refCount;
+    NodeId top = leaf;
+    for (; !node(top).resident; top = node(top).parent)
+        path.push_back(top);
+    path.push_back(top);
 
     TouchResult result;
     result.ok = true;
-    int reprefilled = 0;
-    for (NodeId id : path) {
+    for (NodeId id = top; id != kInvalid; id = node(id).parent) {
         Node &n = node(id);
-        if (n.resident) {
-            n.lastUse = tick;
-            // Root tokens are the globally shared prefix mounted via
-            // setRootTokens() (zero without one): the serving layer
-            // accounts them once as prefixHitTokens, not per touch.
-            if (id != kRoot)
-                result.cachedTokens += n.tokens;
-            continue;
-        }
+        n.lastUse = tick;
+        // Root tokens are the globally shared prefix mounted via
+        // setRootTokens() (zero without one): the serving layer
+        // accounts them once as prefixHitTokens, not per touch.
+        if (id != kRoot)
+            result.cachedTokens += n.tokens;
+    }
+
+    // Pin the suffix and its resident parent so reclaim() cannot evict
+    // nodes we just placed, or the node they hang from.
+    for (NodeId id : path)
+        ++node(id).refCount;
+
+    // Place the suffix top-down; the ledger is asked even for a
+    // zero-block node (an injected allocation fault can refuse it).
+    int reprefilled = 0;
+    for (size_t i = path.size() - 1; i-- > 0;) {
+        const NodeId id = path[i];
+        Node &n = node(id);
         const size_t need = blocksForTokens(n.tokens, blockTokens_);
         if (freeBlocks() < need && !reclaim(need)) {
             result.ok = false;

@@ -32,8 +32,6 @@ SyntheticGenerator::SyntheticGenerator(const ModelSpec &spec,
     wrongAnswerWeights_.resize(static_cast<size_t>(wrong_space));
     for (int k = 0; k < wrong_space; ++k)
         wrongAnswerWeights_[static_cast<size_t>(k)] = 1.0 / (1.0 + k);
-    for (double w : wrongAnswerWeights_)
-        wrongAnswerTotal_ += w;
 }
 
 int
@@ -93,7 +91,7 @@ SyntheticGenerator::sampleAnswer(double quality, const Problem &problem,
 {
     if (rng.bernoulli(correctProbability(quality, problem)))
         return 0;
-    return 1 + rng.categorical(wrongAnswerWeights_, wrongAnswerTotal_);
+    return 1 + rng.categorical(wrongAnswerWeights_);
 }
 
 } // namespace fasttts

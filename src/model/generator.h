@@ -90,7 +90,6 @@ class SyntheticGenerator
     double skill_;
     std::vector<double> wrongAnswerWeights_; //!< 1/(1+k) per wrong
                                              //!< answer 1+k.
-    double wrongAnswerTotal_ = 0; //!< Their left-to-right sum.
 };
 
 } // namespace fasttts

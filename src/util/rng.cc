@@ -122,12 +122,6 @@ Rng::categorical(const std::vector<double> &weights)
     double total = 0.0;
     for (double w : weights)
         total += w;
-    return categorical(weights, total);
-}
-
-int
-Rng::categorical(const std::vector<double> &weights, double total)
-{
     if (total <= 0.0)
         return 0;
     double target = uniform() * total;

@@ -65,15 +65,6 @@ class Rng
      */
     int categorical(const std::vector<double> &weights);
 
-    /**
-     * categorical(weights) with the weights' left-to-right sum
-     * precomputed by the caller — the same draw without re-summing
-     * constant weights on every call.
-     * @param total Exactly the sum weights[0] + weights[1] + ... in
-     *              that order (so the draw is bit-identical).
-     */
-    int categorical(const std::vector<double> &weights, double total);
-
     /** In-place Fisher-Yates shuffle. */
     template <typename T>
     void

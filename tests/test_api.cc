@@ -15,6 +15,7 @@
 #include "api/engine_args.h"
 #include "api/registry.h"
 #include "api/status.h"
+#include "core/online_server.h"
 #include "core/serving.h"
 #include "util/json.h"
 
@@ -354,6 +355,35 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IntFieldRange> &info) {
         return std::string(info.param.test);
     });
+
+TEST(EngineArgsValidate, OnlineRangeErrorsMatchOnlineServerCreate)
+{
+    // An online int field is checked by one function: validate() and
+    // OnlineServer::create() refuse it with the same message, at the
+    // bound its flag row uses.
+    using Online = OnlineServerOptions;
+    struct Case
+    {
+        int Online::*field;
+        int bad;
+    };
+    for (const Case c :
+         {Case{&Online::maxBatchedTokens, 0},
+          Case{&Online::maxBatchedTokens, Online::kMaxBatchedTokens + 1},
+          Case{&Online::prefillChunk, 0},
+          Case{&Online::prefillChunk, Online::kMaxPrefillChunk + 1},
+          Case{&Online::maxInflight, Online::kMaxInflight + 1},
+          Case{&Online::retryMax, -1}}) {
+        EngineArgs args;
+        args.*c.field = c.bad;
+        const Status validated = args.validate();
+        const auto created = OnlineServer::create(ServingOptions(), args);
+        SCOPED_TRACE(validated.message());
+        EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+        ASSERT_FALSE(created.ok());
+        EXPECT_EQ(created.status().message(), validated.message());
+    }
+}
 
 TEST(EngineArgsValidate, RegistryMembershipEnforced)
 {

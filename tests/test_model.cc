@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -128,34 +127,6 @@ TEST(ProblemSet, ServingSystemServesTheSameProblems)
     ASSERT_EQ(system.problems().size(), want.size());
     for (size_t i = 0; i < want.size(); ++i)
         expectSameProblem(want[i], system.problems()[i]);
-}
-
-TEST(Generator, SampleAnswerDrawsLikeTheUnsummedCategorical)
-{
-    // The generator hands categorical() its precomputed weight total;
-    // every draw must match the overload that sums the weights itself.
-    for (const std::string &name : datasetRegistry().list()) {
-        SCOPED_TRACE(name);
-        const DatasetProfile profile = *datasetByName(name);
-        const SyntheticGenerator gen(qwen25Math1_5B(), profile);
-        const Problem problem = makeProblems(profile, 1, 5)[0];
-        std::vector<double> weights;
-        for (int k = 0; k < std::max(1, profile.numAnswers - 1); ++k)
-            weights.push_back(1.0 / (1.0 + k));
-        Rng rng(11);
-        Rng reference(11);
-        int mismatches = 0;
-        for (int i = 0; i < 100000; ++i) {
-            const double quality = -3.0 + 6.0 * (i % 97) / 96.0;
-            const int got = gen.sampleAnswer(quality, problem, rng);
-            const int want =
-                reference.bernoulli(gen.correctProbability(quality, problem))
-                ? 0
-                : 1 + reference.categorical(weights);
-            mismatches += got != want ? 1 : 0;
-        }
-        EXPECT_EQ(mismatches, 0);
-    }
 }
 
 TEST(Generator, StepLengthsRespectBounds)

@@ -5,11 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
-#include <vector>
-
-#include "model/workload.h"
 #include "util/rng.h"
 
 namespace fasttts
@@ -134,33 +129,6 @@ TEST(Rng, CategoricalAllZeroWeightsReturnsZero)
     Rng rng(31);
     std::vector<double> weights = {0.0, 0.0};
     EXPECT_EQ(rng.categorical(weights), 0);
-}
-
-TEST(Rng, CategoricalWithTotalDrawsTheSame)
-{
-    // The generator's wrong-answer weights for every registered
-    // dataset: a precomputed left-to-right total must reproduce the
-    // summing overload draw for draw.
-    for (const std::string &name : datasetRegistry().list()) {
-        SCOPED_TRACE(name);
-        const int answers = datasetByName(name)->numAnswers;
-        std::vector<double> weights;
-        for (int k = 0; k < std::max(1, answers - 1); ++k)
-            weights.push_back(1.0 / (1.0 + k));
-        double total = 0.0;
-        for (const double w : weights)
-            total += w;
-        Rng summing(37);
-        Rng presummed(37);
-        int mismatches = 0;
-        for (int i = 0; i < 100000; ++i)
-            mismatches += summing.categorical(weights)
-                    != presummed.categorical(weights, total)
-                ? 1
-                : 0;
-        EXPECT_EQ(mismatches, 0);
-        EXPECT_EQ(summing.next(), presummed.next());
-    }
 }
 
 TEST(Rng, ForkIsDeterministicAndIndependent)
