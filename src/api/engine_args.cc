@@ -49,9 +49,6 @@ struct Flag
     }
 };
 
-/** Upper bound of the count-like flags (beams, problems). */
-constexpr int kMaxCount = 1 << 20;
-
 /** Every EngineArgs flag, in help() order. */
 constexpr Flag kFlags[] = {
     {"--device", "device", &E::device, "NAME", "accelerator to serve on"},
@@ -63,11 +60,11 @@ constexpr Flag kFlags[] = {
     {"--mode", "mode", &E::mode, "MODE",
      "'fasttts' (optimised) or 'baseline'"},
     {"--beams", "num_beams", &E::numBeams, "N", "search width n (>= 1)", 1,
-     kMaxCount},
+     ServingOptions::kMaxBeams},
     {"--branch-factor", "branch_factor", &E::branchFactor, "N",
-     "branch factor B (>= 1)", 1, kMaxCount},
+     "branch factor B (>= 1)", 1, ServingOptions::kMaxBranchFactor},
     {"--problems", "num_problems", &E::numProblems, "N",
-     "problems to serve (>= 0)", 0, kMaxCount},
+     "problems to serve (>= 0)", 0, ServingOptions::kMaxProblems},
     {"--seed", "seed", &E::seed, "N", "master problem-set seed"},
     {"--offload", "offload", &E::offload, "",
      "enable KV offloading (Sec. 4.3.2)"},

@@ -12,18 +12,24 @@ namespace fasttts
 StatusOr<ServingSystem>
 ServingSystem::create(const ServingOptions &options)
 {
-    if (options.numBeams < 1)
+    const auto outOfRange = [](const char *name, int value, int lo,
+                               int hi) {
         return Status::invalidArgument(
-            "numBeams must be >= 1, got "
-            + std::to_string(options.numBeams));
-    if (options.branchFactor < 1)
-        return Status::invalidArgument(
-            "branchFactor must be >= 1, got "
-            + std::to_string(options.branchFactor));
-    if (options.problemCount < 0)
-        return Status::invalidArgument(
-            "problemCount must be >= 0, got "
-            + std::to_string(options.problemCount));
+            std::string(name) + " must be in [" + std::to_string(lo)
+            + ", " + std::to_string(hi) + "], got "
+            + std::to_string(value));
+    };
+    using O = ServingOptions;
+    if (options.numBeams < 1 || options.numBeams > O::kMaxBeams)
+        return outOfRange("numBeams", options.numBeams, 1, O::kMaxBeams);
+    if (options.branchFactor < 1
+        || options.branchFactor > O::kMaxBranchFactor)
+        return outOfRange("branchFactor", options.branchFactor, 1,
+                          O::kMaxBranchFactor);
+    if (options.problemCount < 0
+        || options.problemCount > O::kMaxProblems)
+        return outOfRange("problemCount", options.problemCount, 0,
+                          O::kMaxProblems);
 
     auto dataset = datasetByName(options.datasetName);
     if (!dataset.ok())

@@ -67,15 +67,22 @@ class FaultInjector;
 /** Everything needed to stand up one serving stack. */
 struct ServingOptions
 {
+    static constexpr int kMaxBeams = 1 << 20;        //!< Bound of numBeams.
+    static constexpr int kMaxBranchFactor = 1 << 20; //!< Bound of
+                                                     //!< branchFactor.
+    static constexpr int kMaxProblems = 1 << 20; //!< Bound of problemCount.
+
     FastTtsConfig config = FastTtsConfig::fastTts();
     ModelConfig models = config1_5Bplus1_5B();
     std::string deviceName = "RTX4090";
     std::string datasetName = "AIME";
     std::string algorithmName = "beam_search";
-    int numBeams = 32;       //!< Search width n.
-    int branchFactor = 4;    //!< B for tree-search methods.
+    int numBeams = 32;       //!< Search width n, in [1, kMaxBeams].
+    int branchFactor = 4;    //!< B for tree-search methods, in
+                             //!< [1, kMaxBranchFactor].
     uint64_t seed = 2026;    //!< Master seed for the problem set.
-    int problemCount = 256;  //!< Size of the generated problem set.
+    int problemCount = 256;  //!< Size of the generated problem set,
+                             //!< in [0, kMaxProblems].
 };
 
 /** Batch-level aggregation over served problems. */

@@ -132,6 +132,36 @@ TEST(ServingSystem, CreateRejectsBadWidths)
               StatusCode::kInvalidArgument);
 }
 
+TEST(ServingSystem, CreateRejectsEachFieldOneAboveItsBound)
+{
+    ServingOptions opts;
+    opts.numBeams = ServingOptions::kMaxBeams + 1;
+    auto made = ServingSystem::create(opts);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(made.status().message(),
+              "numBeams must be in [1, 1048576], got 1048577");
+
+    opts = ServingOptions();
+    opts.branchFactor = ServingOptions::kMaxBranchFactor + 1;
+    made = ServingSystem::create(opts);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(made.status().message(),
+              "branchFactor must be in [1, 1048576], got 1048577");
+
+    opts = ServingOptions();
+    opts.problemCount = ServingOptions::kMaxProblems + 1;
+    made = ServingSystem::create(opts);
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(made.status().message(),
+              "problemCount must be in [0, 1048576], got 1048577");
+
+    // Each bound itself is accepted (problems are drawn on access, so
+    // the largest set costs one checkpoint pass, not 2^20 problems).
+    opts = ServingOptions();
+    opts.problemCount = ServingOptions::kMaxProblems;
+    EXPECT_TRUE(ServingSystem::create(opts).ok());
+}
+
 TEST(AggregateResults, EmptyIsSafe)
 {
     const auto out = aggregateResults({}, 8);
