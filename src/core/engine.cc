@@ -1578,7 +1578,13 @@ FastTtsEngine::stepRequest()
         ctx_->iterStats_.push_back(stats);
         ++ctx_->iteration_;
     }
-    return !ctx_->active_.empty() && ctx_->iteration_ < hard_cap;
+    if (!ctx_->active_.empty() && ctx_->iteration_ < hard_cap)
+        return true;
+    // Last wave: outbound host-link time from swap-outs after the last
+    // touch charge still belongs to it, so the request's clock after
+    // this call is its completion time.
+    chargeSwapIn(0);
+    return false;
 }
 
 RequestResult
@@ -1589,10 +1595,6 @@ FastTtsEngine::finishRequest()
     for (auto &b : ctx_->active_)
         pruneBeam(*b);
     ctx_->active_.clear();
-
-    // Outbound host-link time from swap-outs after the last touch
-    // charge still belongs to this request's clock.
-    chargeSwapIn(0);
 
     RequestResult result;
     result.completionTime = ctx_->clock_.now();

@@ -178,8 +178,9 @@ class FastTtsEngine
      * and no result is built. This is the abnormal-exit counterpart
      * of finishRequest() — cancellation, shedding and watchdog
      * timeouts must not advertise a prompt the request never finished
-     * serving. KV trees stay mounted until releaseFinishedKv() or the
-     * next beginRequest(), exactly like finishRequest().
+     * serving. Like finishRequest(), it leaves the KV trees mounted
+     * (and charged to the shared ledger) until releaseFinishedKv() or
+     * the next beginRequest()/resumeRequest().
      */
     void abortRequest();
 
@@ -241,14 +242,14 @@ class FastTtsEngine
     [[nodiscard]] bool hasActiveRequest() const;
 
     /**
-     * Drop the idle engine context. After finishRequest() the last
-     * request's KV trees stay mounted (and keep their shared-ledger
-     * charge) until the next beginRequest()/resumeRequest() replaces
-     * them; a serving loop that has drained its trace calls this so a
-     * finished request never squats on the shared budget afterwards
-     * (the ledger returns to its pre-trace occupancy). Also resets
-     * the context-backed accessors (clock(), iterationStats(), ...).
-     * No-op while a request is mounted.
+     * Drop the idle engine context: the KV trees of the request that
+     * just finished or aborted return every block to the allocator and
+     * the shared ledger. Until then they stay mounted, so the
+     * context-backed accessors (clock(), iterationStats(), ...) still
+     * read the last request. ServingSystem::stepBatch() calls this
+     * right after finishRequest(), so a batched request's KV is on the
+     * ledger exactly while the request is in flight. No-op while a
+     * request is mounted.
      */
     void releaseFinishedKv();
 

@@ -269,9 +269,11 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
         const RequestId id = ids[i];
         Request &request = requests_.at(id);
         if (!member.moreWork) {
-            // Finished this wave: mount, collect, complete.
+            // Finished this wave: mount, collect, complete, and drop
+            // the context so its KV leaves the ledger with it.
             engine_->resumeRequest(std::move(request.suspended));
             request.result = engine_->finishRequest();
+            engine_->releaseFinishedKv();
             request.state = RequestState::Completed;
             const auto on_complete = request.callbacks.onComplete;
             if (on_complete) {

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "core/serving.h"
+#include "kv/kv_session.h"
+#include "util/units.h"
 
 namespace fasttts
 {
@@ -596,6 +598,54 @@ TEST(AsyncServing, BatchedResultsMatchSoloRuns)
             EXPECT_EQ(got.solutions[j].tokens,
                       want[i].solutions[j].tokens);
         }
+    }
+}
+
+TEST(AsyncServing, FinishedMemberKvLeavesLedgerInItsLastWave)
+{
+    // A request's KV is on the shared ledger exactly while it is in
+    // flight: in the wave one of two parked members completes, the
+    // ledger holds the survivor's KV and the prefix cache's, nothing
+    // of the finished member.
+    for (const bool cache : {false, true}) {
+        ServingSystem system = smallSystem(4);
+        KvBudgetLedger ledger(64.0 * GiB);
+        system.attachKvLedger(&ledger);
+        if (cache)
+            system.enablePrefixCache(1.0 * GiB, &ledger);
+        const std::vector<RequestId> ids = {
+            system.submit(system.problems()[0]),
+            system.submit(system.problems()[1])};
+        for (const RequestId id : ids)
+            ASSERT_TRUE(system.startSuspended(id, false).ok());
+
+        BatchPlan plan;
+        for (size_t i = 0; i < ids.size(); ++i) {
+            BatchPlanEntry entry;
+            entry.member = i;
+            entry.kind = BatchWorkKind::Decode;
+            plan.entries.push_back(entry);
+        }
+        int completed = 0;
+        for (int wave = 0; completed == 0 && wave < 1000; ++wave) {
+            ASSERT_TRUE(system.stepBatch(ids, plan).ok());
+            for (const RequestId id : ids)
+                completed +=
+                    *system.requestState(id) == RequestState::Completed;
+        }
+        ASSERT_EQ(completed, 1) << "cache " << cache;
+        const RequestId survivor =
+            *system.requestState(ids[0]) == RequestState::Completed
+            ? ids[1]
+            : ids[0];
+        const double survivor_kv =
+            system.suspendedInfo(survivor)->residentKvBytes;
+        EXPECT_GT(survivor_kv, 0.0);
+        const double cached = cache ? system.prefixIndex()->residentBytes()
+                                    : 0.0;
+        EXPECT_NEAR(ledger.usedBytes(), survivor_kv + cached, 1.0)
+            << "cache " << cache;
+        ASSERT_TRUE(system.cancel(survivor).ok());
     }
 }
 

@@ -1173,6 +1173,41 @@ TEST(OnlineServer, ServeProblemsAdapterMatchesServingSystem)
     }
 }
 
+TEST(OnlineServer, LoneBatchedRequestActiveTimeIsItsCompletionTime)
+{
+    // A request's last swap-out transfer belongs to its last wave, so
+    // a lone continuously batched request's activeTime (the sum of its
+    // wave shares) is its engine completion time, host tier or not.
+    ServingOptions opts = smallOptions(true);
+    OnlineServerOptions online;
+    online.batching = "continuous";
+    online.maxInflight = 1;
+    online.kvTier = "host";
+    online.kvBudgetGiB = 0.25;
+    constexpr int kRequests = 4;
+    // The requests serveProblems() builds, so both servers run the
+    // same serve and complete in the same order.
+    std::vector<OnlineRequest> requests(kRequests);
+    for (int i = 0; i < kRequests; ++i) {
+        requests[static_cast<size_t>(i)].problemId = i;
+        requests[static_cast<size_t>(i)].arrival = 0;
+        requests[static_cast<size_t>(i)].slo = 0;
+    }
+    OnlineServer traced = OnlineServer::create(opts, online).value();
+    const OnlineTraceResult trace = traced.serveRequests(requests).value();
+    OnlineServer batch = OnlineServer::create(opts, online).value();
+    const BatchResult results = batch.serveProblems(kRequests);
+
+    ASSERT_EQ(trace.records.size(), results.requests.size());
+    EXPECT_GT(trace.swapTransferTime, 0.0); // The tier moved KV.
+    for (size_t i = 0; i < trace.records.size(); ++i) {
+        const double completion = results.requests[i].completionTime;
+        EXPECT_NEAR(trace.records[i].activeTime, completion,
+                    1e-12 * completion)
+            << "request " << i;
+    }
+}
+
 // --- Fault injection, retry, timeout and degradation ---
 
 /** A small burst of arrival-0ish requests with generous deadlines. */
