@@ -1480,6 +1480,7 @@ FastTtsEngine::stepBatch(const std::vector<RequestContext *> &contexts,
             out.tokensDecoded += decoded;
             runs.push_back(run);
         }
+        outcome.clock = ctx_->clock_.now();
         ctx_.release();
     }
 

@@ -79,6 +79,9 @@ struct BatchMemberOutcome
     int prefilledTokens = 0;   //!< Prompt tokens prefilled this wave.
     double activeDelta = 0;    //!< Device time attributed to this
                                //!< member under the fused wave clock.
+    double clock = 0;          //!< The member's own engine clock after
+                               //!< the wave (its completion time when
+                               //!< moreWork is false).
 };
 
 /** What one fused engine wave did across all planned members. */

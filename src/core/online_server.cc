@@ -214,7 +214,7 @@ OnlineServer::create(const ServingOptions &options,
         return policy.status();
 
     // ONE serving system — engine, device, KV — shared by every
-    // in-flight request; interleaving goes through suspend/resume.
+    // in-flight request; each is parked between the waves it runs in.
     auto system = ServingSystem::create(options);
     if (!system.ok())
         return system.status();
@@ -594,12 +594,15 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
 
     // --- The serve loop. Both batching modes share arrival intake,
     //     the watchdog, admission, idling, the cost-aware victim sweep,
-    //     completion accounting and the epilogue. They differ only in
-    //     how a wave runs — continuous batching plans one fused
-    //     stepBatch() wave over every in-flight request (long prompts
-    //     fed in prefillChunk slices, sched/batch_scheduler.h); time
-    //     slicing chooses one request by preempt mode, mounts it and
-    //     step()s it — and in the admission-order eviction sweep. ---
+    //     completion accounting and the epilogue, and both run every
+    //     wave through stepBatch(): every in-flight request stays
+    //     parked between waves, and a request's KV leaves the shared
+    //     ledger in the wave it completes. They differ only in what a
+    //     wave holds — continuous batching plans one fused wave over
+    //     every in-flight request (long prompts fed in prefillChunk
+    //     slices, sched/batch_scheduler.h); time slicing chooses one
+    //     request by preempt mode and runs it as a one-member plan —
+    //     and in the admission-order eviction sweep. ---
     const bool continuous = online_.batching == "continuous";
     const BatchScheduler scheduler(online_.maxBatchedTokens,
                                    online_.prefillChunk);
@@ -644,8 +647,8 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     std::vector<std::pair<bool, double>> bench_view; // pickBenchReturn().
     size_t next_ticket = 0;
     size_t rr = 0;          //!< Round-robin cursor (slice mode).
-    size_t current = kNone; //!< In-flight index mounted on the engine
-                            //!< (time slicing).
+    size_t current = kNone; //!< In-flight index that ran the last
+                            //!< slice (time slicing).
     double now = 0;
     double busy = 0;          //!< Device time of every wave run.
     double last_wave_end = 0; //!< Utilization's span.
@@ -666,7 +669,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     const size_t max_inflight =
         static_cast<size_t>(online_.maxInflight);
 
-    // Take a flight out of the in-flight set, keeping the mounted and
+    // Take a flight out of the in-flight set, keeping the current and
     // round-robin cursors on the same requests.
     const auto removeFlight = [&](size_t idx) {
         inflight.erase(inflight.begin() + static_cast<long>(idx));
@@ -793,6 +796,19 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         records.push_back(flight.rec);
         checkOk(system_.release(flight.sysId));
         removeFlight(idx);
+    };
+
+    // The batch scheduler's view of in-flight request i, parked with
+    // `info`.
+    const auto candidateFor = [&](size_t i,
+                                  const SuspendedRequestInfo &info) {
+        BatchCandidate candidate;
+        candidate.member = i;
+        candidate.promptRemaining = info.promptTokensPending;
+        candidate.prefixKey = info.prefixKey;
+        candidate.decodeTokens = std::max(
+            1, static_cast<int>(std::max(1, info.activeBeams) * step_tokens));
+        return candidate;
     };
 
     while (true) {
@@ -972,15 +988,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                     inflight[i].peakKvBytes =
                         std::max(inflight[i].peakKvBytes,
                                  info->residentKvBytes);
-                BatchCandidate candidate;
-                candidate.member = i;
-                candidate.promptRemaining = info->promptTokensPending;
-                candidate.prefixKey = info->prefixKey;
-                candidate.decodeTokens = std::max(
-                    1, static_cast<int>(
-                           std::max(1, info->activeBeams)
-                           * step_tokens));
-                candidates.push_back(candidate);
+                candidates.push_back(candidateFor(i, *info));
             }
 
             const BatchPlan plan = scheduler.plan(candidates);
@@ -1020,7 +1028,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         size_t chosen;
         switch (mode) {
         case PreemptMode::Off:
-            // Run-to-completion: stick with the mounted request;
+            // Run-to-completion: stick with the current request;
             // otherwise take the earliest admitted.
             chosen = current != kNone ? current : 0;
             break;
@@ -1063,12 +1071,11 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         }
         }
 
-        // --- Mount the chosen request on the engine. ---
+        // --- Switch to the chosen request. ---
         if (current != chosen) {
             if (current != kNone) {
-                checkOk(system_.suspend(inflight[current].sysId));
                 if (calibrate_kv) {
-                    // A freshly suspended victim's residency is the
+                    // A freshly switched-out victim's residency is the
                     // trace's only honest observation of its real
                     // working set.
                     auto info = system_.suspendedInfo(
@@ -1086,23 +1093,17 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 if (mode == PreemptMode::Policy)
                     ++preemptions;
             }
+            // In the non-slicing modes an admitted request may wait
+            // behind run-to-completion predecessors (or a policy that
+            // ranks it low); that wait is queueing, not service, so
+            // service starts at its first slice. wallBase has been
+            // advanced by every intervening slice, so it equals "now"
+            // here. Slice mode keeps the admission stamp: rotation
+            // reaches a new request within one round, and the legacy
+            // traces are defined that way.
             Flight &f = inflight[chosen];
-            if (f.sysId == 0) {
-                // In the non-slicing modes an admitted request may sit
-                // unmounted behind run-to-completion predecessors (or
-                // a policy that ranks it low); that wait is queueing,
-                // not service, so service starts at first mount.
-                // wallBase has been advanced by every intervening
-                // slice, so it equals "now" here. Slice mode keeps the
-                // admission stamp: rotation reaches a new request
-                // within one round, and the legacy traces are defined
-                // that way.
-                if (mode != PreemptMode::Slice)
-                    f.rec.start = f.wallBase;
-                f.sysId = system_.submit(ticketProblem(f.ticket));
-            } else {
-                checkOk(system_.resume(f.sysId));
-            }
+            if (f.sysId == 0 && mode != PreemptMode::Slice)
+                f.rec.start = f.wallBase;
             current = chosen;
         }
 
@@ -1111,7 +1112,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         if (memory_aware)
             relieveMemoryPressure(current);
 
-        // The mounted request alone is at risk this slice.
+        // The chosen request alone is at risk this slice.
         if (injector != nullptr) {
             const bool killed = faultedBeforeWave(current);
             updateDegraded();
@@ -1119,15 +1120,29 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 continue;
         }
 
+        // A request starts parked at its first slice, prompt prefilled
+        // up front: after the sweep and the fault probe, so neither
+        // sees its prompt's KV charge.
         Flight &flight = inflight[current];
-        const ScheduleOutcome slice = system_.step();
+        if (flight.sysId == 0) {
+            flight.sysId = system_.submit(ticketProblem(flight.ticket));
+            checkOk(system_.startSuspended(flight.sysId,
+                                           /*defer_prompt=*/false));
+        }
+        ids.assign(1, flight.sysId);
+        candidates.assign(
+            1, candidateFor(0, *system_.suspendedInfo(flight.sysId)));
+        auto outcome = system_.stepBatch(ids, scheduler.plan(candidates));
+        if (!outcome.ok())
+            return outcome.status(); // Unreachable: it is suspended.
+        const BatchMemberOutcome &member = outcome->members[0];
         ++waves;
         ++decode_members;
-        flight.decoded += slice.tokensDecoded;
-        // The engine clock is cumulative device time for this request:
-        // it survives suspend/resume and includes any post-eviction
+        flight.decoded += member.decodedTokens;
+        // The member's clock is cumulative device time for this
+        // request: it survives parking and includes any post-eviction
         // recompute.
-        flight.clock = system_.engine().clock().now();
+        flight.clock = member.clock;
 
         // The request's wall clock is its engine clock offset by every
         // slice the device spent elsewhere; computed this way (rather
@@ -1146,20 +1161,14 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         last_wave_end = now;
         flight.lastRunAt = now;
 
-        if (*system_.requestState(flight.sysId)
-            == RequestState::Completed) {
+        if (!member.moreWork) {
             // The engine clock at completion IS the active time.
             flight.rec.activeTime = flight.clock;
-            completeFlight(current);
+            completeFlight(current); // stepBatch completed it.
         } else if (mode == PreemptMode::Slice) {
             rr = (rr + 1) % inflight.size();
         }
     }
-
-    // Trace drained: drop the engine's idle context so the last
-    // finished request's KV charge leaves the shared ledger (only the
-    // prefix cache's own residency may remain).
-    system_.engine().releaseFinishedKv();
 
     OnlineTraceResult out =
         aggregateTrace(std::move(records), busy, last_wave_end);

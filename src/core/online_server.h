@@ -13,12 +13,14 @@
  *
  * The server owns exactly ONE ServingSystem — one engine, one device,
  * one shared KV budget — no matter how many requests are in flight.
- * In-flight requests time-share the engine through the async facade's
- * suspend()/resume(): switching requests parks the victim's entire
+ * Every in-flight request stays parked between waves — its entire
  * engine state (beams, clocks, KV trees) in a SuspendedEngineRequest
- * and mounts the next one. All resident KV is charged to one shared
- * KvBudgetLedger, so concurrent requests genuinely contend for device
- * memory; under pressure a suspended request's KV is force-evicted
+ * — and every wave runs through the async facade's stepBatch(): a
+ * time slice is a one-member plan, a continuous-batching wave a fused
+ * plan over every in-flight request. All resident KV is charged to
+ * one shared KvBudgetLedger, so concurrent requests genuinely contend
+ * for device memory; a request's KV leaves the ledger in the wave it
+ * completes. Under pressure a parked request's KV is force-evicted
  * back to the pool and re-prefilled (counted as recompute) when it
  * next runs.
  *
@@ -440,9 +442,9 @@ struct OnlineRequest
  * Policy-driven online server multiplexing one simulated device.
  *
  * Requests are admitted by the configured QueuePolicy into up to
- * maxInflight in-flight slots that time-share ONE engine through
- * suspend/resume, under one shared KV budget. Move-only; obtain
- * instances through create().
+ * maxInflight in-flight slots that share ONE engine wave by wave,
+ * under one shared KV budget. Move-only; obtain instances through
+ * create().
  */
 class OnlineServer
 {
@@ -529,10 +531,10 @@ class OnlineServer
      * The one serve loop behind every entry point. Each iteration
      * takes in arrivals and due retries, drops cancelled and
      * timed-out requests, admits by policy (shedding doomed requests,
-     * gating on memory), then runs one wave: continuous batching
-     * plans a fused stepBatch() wave over every in-flight request;
-     * time slicing chooses one request by preempt mode, mounts it and
-     * step()s it. Memory-pressure eviction, fault probes and
+     * gating on memory), then runs one stepBatch() wave: continuous
+     * batching plans a fused wave over every in-flight request; time
+     * slicing chooses one request by preempt mode and runs it as a
+     * one-member plan. Memory-pressure eviction, fault probes and
      * completion accounting are common to both. results_sink
      * (optional) collects each completed request's engine result in
      * completion order.

@@ -228,10 +228,12 @@ class ServingSystem
     /**
      * Start a queued request directly into the Suspended state: the
      * engine begins it (prompt KV node created) and immediately parks
-     * the context, leaving the engine idle. Continuous batching mounts
-     * such parked contexts wave by wave via stepBatch(). With
-     * defer_prompt true the prompt prefill is NOT charged up front —
-     * the batch scheduler feeds it in chunks instead.
+     * the context, leaving the engine idle. OnlineServer parks every
+     * in-flight request this way, in both batching modes, and runs it
+     * wave by wave via stepBatch(). With defer_prompt true the prompt
+     * prefill is NOT charged up front — the batch scheduler feeds it
+     * in chunks instead (continuous batching); time slicing prefills
+     * it up front.
      * @return kNotFound for unknown ids, kFailedPrecondition unless
      *         the request is queued and the engine is idle.
      */
@@ -239,10 +241,12 @@ class ServingSystem
 
     /**
      * Advance every listed suspended request in one fused engine wave
-     * according to `plan` (sched/batch_scheduler.h). Members that
-     * finish are completed (onComplete fires; per-iteration onStep
-     * callbacks do NOT fire from batched waves); the rest stay
-     * Suspended. Plan entries index into `ids`.
+     * according to `plan` (sched/batch_scheduler.h); a one-member plan
+     * is a time slice. Members that finish are completed (onComplete
+     * fires; per-iteration onStep callbacks do NOT fire from batched
+     * waves) and their context is dropped at once, so a request's KV
+     * is on the shared ledger exactly while it is in flight. The rest
+     * stay Suspended. Plan entries index into `ids`.
      * @return kFailedPrecondition unless every id is Suspended.
      */
     StatusOr<BatchStepOutcome>
