@@ -1,7 +1,7 @@
 /**
  * @file
  * Request-level async serving: submit / step / callbacks / cancel,
- * plus true preemption (suspend / evict / resume).
+ * plus true preemption (park / evict / continue).
  *
  * Shows the facade OnlineServer is built on. Three requests are
  * submitted up front; the caller pumps the engine one TTS iteration at
@@ -9,11 +9,13 @@
  * and collecting results through onComplete. A fourth request is
  * cancelled mid-flight from its own onStep callback — the engine
  * abandons its beams immediately and moves on to queued work.
- * Finally, a request is preempted mid-flight: suspend() parks its
- * entire engine state, evictSuspendedKv() drops its KV back to the
- * pool, and after an intervening request completes, resume()
- * continues it — the evicted paths come back as recompute, visible in
- * the request's own KvStats.
+ * Finally, a request is preempted mid-flight: startSuspended() parks
+ * its entire engine state and stepBatch() runs it one time slice (a
+ * one-member plan) at a time; after two slices evictSuspendedKv()
+ * drops its KV back to the pool, an intervening request runs to
+ * completion, and the victim's further slices continue it — the
+ * evicted paths come back as recompute, visible in the request's own
+ * KvStats.
  *
  *   ./build/examples/example_async_serving [--problems N] [--help]
  */
@@ -99,32 +101,30 @@ main(int argc, char **argv)
               << system.pendingRequests() << " requests pending\n";
 
     // --- Preemption: one engine, two requests, zero extra devices ---
-    // Start a victim, park it (KV evicted to the shared pool), serve
-    // an "urgent" request on the same engine, then resume the victim.
-    const RequestId victim =
-        system.submit(system.problems()[0]);
-    system.step();
-    system.step();
-    if (Status s = system.suspend(victim); !s.ok()) {
-        std::cerr << s.toString() << "\n";
-        return 1;
-    }
+    // Park a victim and run two slices of it, evict its KV to the
+    // shared pool, serve an "urgent" request on the same engine, then
+    // continue the victim.
+    BatchPlan slice; // One member (index 0) decoding one iteration.
+    slice.entries.emplace_back();
+    const auto runToCompletion = [&](RequestId id) {
+        while (*system.requestState(id) != RequestState::Completed)
+            checkOk(system.stepBatch({id}, slice).status());
+    };
+    const RequestId victim = system.submit(system.problems()[0]);
+    checkOk(system.startSuspended(victim, /*defer_prompt=*/false));
+    checkOk(system.stepBatch({victim}, slice).status());
+    checkOk(system.stepBatch({victim}, slice).status());
     const long evicted = system.evictSuspendedKv(victim).value();
 
     const RequestId urgent = system.submit(system.problems()[1]);
-    while (*system.requestState(urgent) != RequestState::Completed)
-        system.step();
-
-    if (Status s = system.resume(victim); !s.ok()) {
-        std::cerr << s.toString() << "\n";
-        return 1;
-    }
-    system.drain();
+    checkOk(system.startSuspended(urgent, /*defer_prompt=*/false));
+    runToCompletion(urgent);
+    runToCompletion(victim);
     const RequestResult after = *system.result(victim);
     std::cout << "\nPreemption demo: request #" << victim
-              << " was suspended and " << evicted
+              << " was parked and " << evicted
               << " KV tokens force-evicted for #" << urgent
-              << "; resumed, it recomputed "
+              << "; continued, it recomputed "
               << after.kvStats.recomputedTokens
               << " tokens (prompt re-prefill included) and still "
               << "completed " << after.completedBeams << " beams in "

@@ -216,7 +216,7 @@ ServingSystem::startSuspended(RequestId id, bool defer_prompt)
     if (running_ != 0)
         return Status::failedPrecondition(
             "request " + std::to_string(running_)
-            + " is running; suspend or finish it first");
+            + " is running; finish or cancel it first");
     engine_->beginRequest(it->second.problem, defer_prompt);
     it->second.suspended = engine_->suspendRequest();
     it->second.state = RequestState::Suspended;
@@ -232,7 +232,7 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
     if (running_ != 0)
         return Status::failedPrecondition(
             "request " + std::to_string(running_)
-            + " is running; suspend or finish it first");
+            + " is running; finish or cancel it first");
 
     std::vector<FastTtsEngine::RequestContext *> contexts;
     contexts.reserve(ids.size());
@@ -289,43 +289,6 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
     out.schedule.moreWork = pendingRequests() > 0;
     out.members = std::move(wave.outcomes);
     return out;
-}
-
-Status
-ServingSystem::suspend(RequestId id)
-{
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        return Status::notFound("unknown request id "
-                                + std::to_string(id));
-    if (it->second.state != RequestState::Running || running_ != id)
-        return Status::failedPrecondition(
-            "request " + std::to_string(id)
-            + " is not the running request");
-    it->second.suspended = engine_->suspendRequest();
-    it->second.state = RequestState::Suspended;
-    running_ = 0;
-    return okStatus();
-}
-
-Status
-ServingSystem::resume(RequestId id)
-{
-    auto it = requests_.find(id);
-    if (it == requests_.end())
-        return Status::notFound("unknown request id "
-                                + std::to_string(id));
-    if (it->second.state != RequestState::Suspended)
-        return Status::failedPrecondition(
-            "request " + std::to_string(id) + " is not suspended");
-    if (running_ != 0)
-        return Status::failedPrecondition(
-            "request " + std::to_string(running_)
-            + " is running; suspend or finish it first");
-    engine_->resumeRequest(std::move(it->second.suspended));
-    it->second.state = RequestState::Running;
-    running_ = id;
-    return okStatus();
 }
 
 StatusOr<SuspendedRequestInfo>

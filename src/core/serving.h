@@ -21,12 +21,14 @@
  *    onStep/onComplete callbacks; cancel(id) aborts a queued or
  *    running request. Queueing policy (e.g. OnlineServer's FIFO
  *    arrival queue) is thereby decoupled from engine pumping.
- *    suspend(id)/resume(id) give true request-level preemption: the
- *    running request's whole engine state is parked (beams, clocks,
- *    KV trees) so another request can take the engine, and
- *    evictSuspendedKv(id) drops a parked request's KV back to the
- *    shared pool (rebuilt lazily as recompute) — the mechanism
- *    OnlineServer time-shares one device with.
+ *  - Parked waves: startSuspended(id) begins a request and parks its
+ *    whole engine state (beams, clocks, KV trees); stepBatch(ids,
+ *    plan) advances parked requests in one wave — one member is a
+ *    time slice, several a fused continuous-batching wave — and drops
+ *    a finished member's KV at once. evictSuspendedKv(id) drops a
+ *    parked request's KV back to the shared pool (rebuilt lazily as
+ *    recompute). This is the mechanism OnlineServer shares one device
+ *    with, in both batching modes.
  *
  * Typical use (see examples/quickstart.cc; string-friendly
  * configuration via EngineArgs in api/engine_args.h):
@@ -107,7 +109,7 @@ using RequestId = uint64_t;
 enum class RequestState {
     Queued,    //!< Submitted, not yet started.
     Running,   //!< In flight on the engine.
-    Suspended, //!< Preempted mid-flight; resume() continues it.
+    Suspended, //!< Parked between waves; stepBatch() advances it.
     Completed, //!< Finished; result() is available.
     Cancelled, //!< Aborted by cancel(); no result.
 };
@@ -264,30 +266,11 @@ class ServingSystem
     void drain();
 
     /**
-     * Preempt the running request: its entire engine state (beams,
-     * clock, KV trees) is parked and the engine becomes free for
-     * another request. The parked KV stays resident — and keeps its
-     * shared-budget charge — until the serving layer evicts it
-     * (evictSuspendedKv) or the request is resumed/cancelled.
-     * @return kNotFound for unknown ids, kFailedPrecondition unless
-     *         the request is the one currently running.
-     */
-    Status suspend(RequestId id);
-
-    /**
-     * Continue a suspended request where it left off. The engine must
-     * be idle (suspend or finish the current request first); the
-     * resumed request runs on the next step().
-     * @return kNotFound for unknown ids, kFailedPrecondition when the
-     *         request is not suspended or another request is running.
-     */
-    Status resume(RequestId id);
-
-    /**
      * Drop a suspended request's KV from the device (both trees),
      * returning every block to the allocator and shared ledger. The
-     * request remains resumable: evicted paths are re-prefilled
-     * lazily when next touched, counted as recompute in its KvStats.
+     * request stays parked: evicted paths are re-prefilled lazily
+     * when its next wave touches them, counted as recompute in its
+     * KvStats.
      * @return Tokens whose KV was dropped; kFailedPrecondition unless
      *         the request is suspended.
      */

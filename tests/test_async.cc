@@ -344,7 +344,28 @@ TEST(AsyncServing, ServeProblemsEmptyIsSafe)
     EXPECT_EQ(out.top1Accuracy, 0);
 }
 
-// --- Suspension: one engine time-shared between requests ---
+// --- Parking: one engine time-shared between requests ---
+
+/** A one-member plan: member 0 decodes one iteration (a time slice). */
+BatchPlan
+oneSlice()
+{
+    BatchPlan plan;
+    plan.entries.emplace_back();
+    return plan;
+}
+
+/** Run time slices of a parked request until it completes. */
+void
+sliceToCompletion(ServingSystem &system, RequestId id)
+{
+    for (int guard = 0; guard < 10000; ++guard) {
+        if (*system.requestState(id) == RequestState::Completed)
+            return;
+        ASSERT_TRUE(system.stepBatch({id}, oneSlice()).ok());
+    }
+    FAIL() << "request " << id << " did not complete";
+}
 
 TEST(AsyncServing, SuspendResumeInterleavesTwoRequests)
 {
@@ -352,47 +373,52 @@ TEST(AsyncServing, SuspendResumeInterleavesTwoRequests)
     const RequestId a = system.submit(system.problems()[0]);
     const RequestId b = system.submit(system.problems()[1]);
 
-    ASSERT_TRUE(system.step()); // Starts a.
-    EXPECT_EQ(*system.requestState(a), RequestState::Running);
-    ASSERT_TRUE(system.suspend(a).ok());
+    ASSERT_TRUE(system.startSuspended(a, /*defer_prompt=*/false).ok());
+    const auto first = system.stepBatch({a}, oneSlice());
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first->schedule.requestsAdvanced, 1);
+    EXPECT_EQ(first->schedule.requestsSuspended, 1);
+    EXPECT_TRUE(first->members[0].moreWork);
     EXPECT_EQ(*system.requestState(a), RequestState::Suspended);
     EXPECT_EQ(system.pendingRequests(), 2u);
 
-    // With a parked, stepping starts (and can finish) b.
-    while (*system.requestState(b) != RequestState::Completed)
-        system.step();
+    // With a parked, b starts and finishes on the same engine.
+    ASSERT_TRUE(system.startSuspended(b, /*defer_prompt=*/false).ok());
+    sliceToCompletion(system, b);
     EXPECT_EQ(*system.requestState(a), RequestState::Suspended);
 
-    // Resume a; it finishes where it left off.
-    ASSERT_TRUE(system.resume(a).ok());
-    EXPECT_EQ(*system.requestState(a), RequestState::Running);
-    system.drain();
+    // a continues where it left off and finishes.
+    sliceToCompletion(system, a);
     EXPECT_EQ(*system.requestState(a), RequestState::Completed);
     EXPECT_GT(system.result(a)->completionTime, 0);
+    EXPECT_EQ(system.pendingRequests(), 0u);
 }
 
 TEST(AsyncServing, SuspendResumeIsTimingTransparent)
 {
-    // Parking a request (without KV eviction) must not change its
+    // Parking a request between its waves (without KV eviction), even
+    // with another request's waves in between, must not change its
     // result at all: same completion time, same solutions.
     ServingSystem plain = smallSystem();
-    ServingSystem preempted = smallSystem();
+    ServingSystem parked = smallSystem();
 
     const RequestId p = plain.submit(plain.problems()[0]);
     plain.drain();
     const RequestResult want = *plain.result(p);
 
-    const RequestId id = preempted.submit(preempted.problems()[0]);
-    int steps = 0;
-    while (*preempted.requestState(id) != RequestState::Completed) {
-        preempted.step();
-        if (++steps % 3 == 0
-            && *preempted.requestState(id) == RequestState::Running) {
-            ASSERT_TRUE(preempted.suspend(id).ok());
-            ASSERT_TRUE(preempted.resume(id).ok());
+    const RequestId id = parked.submit(parked.problems()[0]);
+    const RequestId other = parked.submit(parked.problems()[1]);
+    ASSERT_TRUE(parked.startSuspended(id, /*defer_prompt=*/false).ok());
+    ASSERT_TRUE(parked.startSuspended(other, /*defer_prompt=*/false).ok());
+    for (int slices = 1;
+         *parked.requestState(id) != RequestState::Completed; ++slices) {
+        ASSERT_TRUE(parked.stepBatch({id}, oneSlice()).ok());
+        if (slices % 3 == 0
+            && *parked.requestState(other) == RequestState::Suspended) {
+            ASSERT_TRUE(parked.stepBatch({other}, oneSlice()).ok());
         }
     }
-    const RequestResult got = *preempted.result(id);
+    const RequestResult got = *parked.result(id);
     EXPECT_DOUBLE_EQ(got.completionTime, want.completionTime);
     EXPECT_EQ(got.generatedTokens, want.generatedTokens);
     ASSERT_EQ(got.solutions.size(), want.solutions.size());
@@ -405,7 +431,7 @@ TEST(AsyncServing, SuspendResumeIsTimingTransparent)
 
 TEST(AsyncServing, EvictSuspendedKvForcesRecomputeButSameAnswers)
 {
-    // Evicting a suspended request's KV costs recompute time but can
+    // Evicting a parked request's KV costs recompute time but can
     // never change what the beams sample (trajectory separation).
     ServingSystem plain = smallSystem();
     ServingSystem evicted = smallSystem();
@@ -415,14 +441,13 @@ TEST(AsyncServing, EvictSuspendedKvForcesRecomputeButSameAnswers)
     const RequestResult want = *plain.result(p);
 
     const RequestId id = evicted.submit(evicted.problems()[0]);
-    evicted.step();
-    evicted.step();
-    ASSERT_TRUE(evicted.suspend(id).ok());
+    ASSERT_TRUE(evicted.startSuspended(id, /*defer_prompt=*/false).ok());
+    ASSERT_TRUE(evicted.stepBatch({id}, oneSlice()).ok());
+    ASSERT_TRUE(evicted.stepBatch({id}, oneSlice()).ok());
     const auto dropped = evicted.evictSuspendedKv(id);
     ASSERT_TRUE(dropped.ok());
     EXPECT_GT(*dropped, 0);
-    ASSERT_TRUE(evicted.resume(id).ok());
-    evicted.drain();
+    sliceToCompletion(evicted, id);
 
     const RequestResult got = *evicted.result(id);
     EXPECT_GE(got.completionTime, want.completionTime);
@@ -441,23 +466,26 @@ TEST(AsyncServing, SuspendResumeErrorPaths)
     const RequestId a = system.submit(system.problems()[0]);
     const RequestId b = system.submit(system.problems()[1]);
 
-    // Nothing is running yet.
-    EXPECT_EQ(system.suspend(a).code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(system.suspend(999).code(), StatusCode::kNotFound);
-    EXPECT_EQ(system.resume(a).code(), StatusCode::kFailedPrecondition);
+    // Nothing is parked yet.
+    EXPECT_EQ(system.stepBatch({a}, oneSlice()).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(system.stepBatch({999}, oneSlice()).status().code(),
+              StatusCode::kNotFound);
     EXPECT_EQ(system.evictSuspendedKv(a).status().code(),
               StatusCode::kFailedPrecondition);
+    EXPECT_EQ(system.evictSuspendedKv(999).status().code(),
+              StatusCode::kNotFound);
 
-    system.step(); // a running.
-    EXPECT_EQ(system.suspend(b).code(), StatusCode::kFailedPrecondition);
-    ASSERT_TRUE(system.suspend(a).ok());
-    system.step(); // b running.
-    // Cannot resume while another request holds the engine.
-    EXPECT_EQ(system.resume(a).code(), StatusCode::kFailedPrecondition);
-    // Cannot release a suspended (still pending) request.
+    ASSERT_TRUE(system.startSuspended(a, /*defer_prompt=*/false).ok());
+    system.step(); // b running on the engine.
+    EXPECT_EQ(*system.requestState(b), RequestState::Running);
+    // A parked request cannot run while another holds the engine.
+    EXPECT_EQ(system.stepBatch({a}, oneSlice()).status().code(),
+              StatusCode::kFailedPrecondition);
+    // Cannot release a parked (still pending) request.
     EXPECT_EQ(system.release(a).code(), StatusCode::kFailedPrecondition);
 
-    // Cancelling a suspended request frees it without resuming.
+    // Cancelling a parked request frees it without running it.
     ASSERT_TRUE(system.cancel(a).ok());
     EXPECT_EQ(*system.requestState(a), RequestState::Cancelled);
     system.drain();
