@@ -254,13 +254,6 @@ ServingSystem::stepBatch(const std::vector<RequestId> &ids,
     out.schedule.prefillChunks = wave.prefillChunks;
     out.schedule.waveTime = wave.waveTime;
 
-    // A Decode entry is one TTS iteration of its member.
-    for (const BatchPlanEntry &entry : plan.entries) {
-        if (entry.kind == BatchWorkKind::Decode
-            && entry.member < ids.size())
-            ++requests_.at(ids[entry.member]).iterations;
-    }
-
     for (size_t i = 0; i < ids.size(); ++i) {
         const BatchMemberOutcome &member = wave.outcomes[i];
         if (!member.participated)
