@@ -119,6 +119,7 @@ struct FastTtsEngine::RequestContext
     uint64_t nextSegId_ = 1;
     int iteration_ = 0;
     int forcedTerminations_ = 0;
+    int generationStalls_ = 0; //!< Generation phases that hit the cap.
     int promptNodeGen_ = -1;
     int promptNodeVer_ = -1;
     int promptRemaining_ = 0; //!< Prompt tokens awaiting chunked
@@ -330,6 +331,7 @@ FastTtsEngine::resetRequestState(const Problem &problem,
     ctx_->nextSegId_ = 1;
     ctx_->iteration_ = 0;
     ctx_->forcedTerminations_ = 0;
+    ctx_->generationStalls_ = 0;
     ctx_->generatedTokens_ = 0;
     ctx_->speculativeTokens_ = 0;
     ctx_->wastedSpecTokens_ = 0;
@@ -847,8 +849,12 @@ FastTtsEngine::runGenerationPhase()
     std::vector<MemberLane> &speculating = ctx_->specLanes_;
 
     while (true) {
-        if (++safety > safety_cap)
-            break; // Defensive: never hang a simulation.
+        if (++safety > safety_cap) {
+            // A stall: work is left that cannot run (e.g. an append the
+            // shared ledger keeps refusing). Count it; never hang.
+            ++ctx_->generationStalls_;
+            break;
+        }
 
         // --- Phase 1: Continuous Beam Batching admission ---
         while (static_cast<int>(decoding.size()) < capacity
@@ -1471,7 +1477,9 @@ FastTtsEngine::stepBatch(const std::vector<RequestContext *> &contexts,
                 + ctx_->clock_.phaseTime(Phase::Recompute);
             const double t0 = ctx_->clock_.now();
             const long decoded0 = ctx_->generatedTokens_;
+            const int stalls0 = ctx_->generationStalls_;
             outcome.moreWork = stepRequest();
+            outcome.generationStalls += ctx_->generationStalls_ - stalls0;
             run.genTime = ctx_->clock_.phaseTime(Phase::Generation)
                 + ctx_->clock_.phaseTime(Phase::Recompute) - gen0;
             run.serialTime = (ctx_->clock_.now() - t0) - run.genTime;
@@ -1540,6 +1548,7 @@ FastTtsEngine::stepRequest()
     const int hard_cap = dataset_.maxSteps + 4;
     if (!ctx_->active_.empty() && ctx_->iteration_ < hard_cap) {
         replan();
+        const int stalls = ctx_->generationStalls_;
         runGenerationPhase();
         runVerificationPhase();
 
@@ -1573,6 +1582,7 @@ FastTtsEngine::stepRequest()
         stats.recomputedTokens = ctx_->kvGen_->stats().recomputedTokens;
         stats.decodeBatch = ctx_->plan_.decodeBatch;
         stats.prefillBatch = ctx_->plan_.prefillBatch;
+        stats.generationStalls = ctx_->generationStalls_ - stalls;
 
         runSelectionPhase();
         stats.clock = ctx_->clock_.now();
@@ -1607,6 +1617,7 @@ FastTtsEngine::finishRequest()
     result.speculativeTokens = ctx_->speculativeTokens_;
     result.wastedSpecTokens = ctx_->wastedSpecTokens_;
     result.completedBeams = static_cast<int>(ctx_->completed_.size());
+    result.generationStalls = ctx_->generationStalls_;
     double token_total = 0;
     double time_total = 0;
     for (const auto &s : ctx_->completed_) {

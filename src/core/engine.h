@@ -67,6 +67,8 @@ struct IterationStats
     double clock = 0;          //!< Time at iteration end.
     int decodeBatch = 0;       //!< Planned B_dec this iteration.
     int prefillBatch = 0;      //!< Planned B_pre this iteration.
+    int generationStalls = 0;  //!< 1 when the generation phase hit its
+                               //!< iteration cap with work left.
 };
 
 /** One request's share of a fused batch wave (see stepBatch()). */
@@ -82,6 +84,8 @@ struct BatchMemberOutcome
     double clock = 0;          //!< The member's own engine clock after
                                //!< the wave (its completion time when
                                //!< moreWork is false).
+    int generationStalls = 0;  //!< Generation phases this wave that hit
+                               //!< their iteration cap.
 };
 
 /** What one fused engine wave did across all planned members. */

@@ -666,6 +666,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     double swap_transfer_time = 0;
     long waves = 0;
     long decode_members = 0;
+    long generation_stalls = 0;
     const size_t max_inflight =
         static_cast<size_t>(online_.maxInflight);
 
@@ -1017,6 +1018,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
                 }
                 flight.rec.activeTime += member.activeDelta;
                 flight.decoded += member.decodedTokens;
+                generation_stalls += member.generationStalls;
                 flight.lastRunAt = now;
                 if (!member.moreWork)
                     completeFlight(idx); // stepBatch completed it.
@@ -1139,6 +1141,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
         ++waves;
         ++decode_members;
         flight.decoded += member.decodedTokens;
+        generation_stalls += member.generationStalls;
         // The member's clock is cumulative device time for this
         // request: it survives parking and includes any post-eviction
         // recompute.
@@ -1202,6 +1205,7 @@ OnlineServer::serveRequestsImpl(const std::vector<OnlineRequest> &requests,
     out.degradedWaves = degraded_waves;
     out.degradedTime = degraded_time;
     out.degradedEpisodes = degraded_episodes;
+    out.generationStalls = generation_stalls;
     if (failed_with_deadline > 0) {
         int completed_with_deadline = 0;
         for (const OnlineRequestRecord &rec : out.records)

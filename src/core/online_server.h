@@ -212,6 +212,10 @@ struct OnlineTraceResult
     int degradedEpisodes = 0; //!< Times degradation engaged; with
                               //!< degradedTime this yields mean
                               //!< time-to-recovery.
+    long generationStalls = 0; //!< Generation phases that hit the
+                               //!< engine's iteration cap with work
+                               //!< left, over every attempt's waves
+                               //!< (killed attempts included).
 };
 
 /**

@@ -39,6 +39,8 @@ struct RequestResult
     int completedBeams = 0;
     double avgBeamTokens = 0;     //!< Mean verified tokens per beam.
     double avgBeamCompletion = 0; //!< Mean beam completion time.
+    int generationStalls = 0;     //!< Generation phases that hit their
+                                  //!< iteration cap with work left.
 
     // --- Solutions (for accuracy metrics) ---
     std::vector<CompletedSolution> solutions;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "kv/kv_session.h"
+#include "util/units.h"
 
 namespace fasttts
 {
@@ -302,6 +304,38 @@ TEST(Engine, KvStatsReportedAndConsistent)
         run(FastTtsConfig::baseline(), config1_5Bplus7B(), 64);
     EXPECT_GT(r.kvStats.missTokens, 0u);
     EXPECT_EQ(r.kvStats.recomputedTokens, r.kvStats.missTokens);
+}
+
+TEST(Engine, LedgerStarvedGenerationCountsStalls)
+{
+    // Another tenant holds all but a sliver of the shared ledger: the
+    // request's lanes are admitted (their paths fit) but their next
+    // block is always refused, so every generation phase runs into its
+    // iteration cap. Each such exit is a counted stall, per iteration
+    // and per request; with the ledger free there is none.
+    const DatasetProfile profile = *datasetByName("AIME");
+    auto algo = *makeAlgorithm("beam_search", 4, 4);
+    const Problem problem = makeProblems(profile, 1, 2026)[0];
+    for (const bool starved : {false, true}) {
+        FastTtsEngine engine(FastTtsConfig::fastTts(),
+                             config1_5Bplus1_5B(), rtx4090(), profile,
+                             *algo);
+        KvBudgetLedger ledger(4.0 * GiB);
+        const double sliver =
+            (problem.promptTokens + 64.0) * engine.promptKvBytesPerToken();
+        if (starved) {
+            ASSERT_TRUE(ledger.charge(ledger.totalBytes() - sliver));
+        }
+        engine.attachKvLedger(&ledger);
+        const RequestResult r = engine.runRequest(problem);
+        int per_iteration = 0;
+        for (const IterationStats &stats : engine.iterationStats()) {
+            EXPECT_LE(stats.generationStalls, 1);
+            per_iteration += stats.generationStalls;
+        }
+        EXPECT_EQ(r.generationStalls, per_iteration);
+        EXPECT_EQ(r.generationStalls > 0, starved);
+    }
 }
 
 } // namespace

@@ -188,7 +188,8 @@ serveCell(const Cell &cell, std::vector<std::string> &lines)
             << " wasted=" << r.faultWastedTokens
             << " degradedWaves=" << r.degradedWaves
             << " degradedTime=" << hexFloat(r.degradedTime)
-            << " degradedEpisodes=" << r.degradedEpisodes;
+            << " degradedEpisodes=" << r.degradedEpisodes
+            << " stalls=" << r.generationStalls;
     lines.push_back(scalars.str());
 
     std::ostringstream records;
