@@ -13,7 +13,7 @@
 # multi-request interleaving machinery cannot land silently. A third
 # pass runs preemptive EDF with doomed-request shedding under a tight
 # shared KV budget (--preempt policy --kv-budget), hammering the
-# suspend/evict/resume path of the shared-engine server. A fourth pass
+# park/evict/continue path of the shared-engine server. A fourth pass
 # runs continuous batching under the same tight budget (--batching
 # continuous --kv-budget 0.5), fusing decode across requests while the
 # ledger benches and lazily restores batch members. A fifth pass turns
@@ -27,7 +27,7 @@
 # tier with cost-aware victim selection under round-robin time slicing
 # (--kv-tier host --victim-select cost --preempt slice), so every
 # context switch runs the roofline swap-vs-recompute decision and the
-# tier's swap-out/take/LRU-evict machinery races suspend, forced
+# tier's swap-out/take/LRU-evict machinery races parking, forced
 # eviction and lazy restore. An eighth pass injects the same 5%
 # wave-step faults under time slicing with preemptive EDF and a
 # request watchdog (--preempt policy --faults plan --request-timeout
